@@ -103,6 +103,13 @@ def _coeff_l2(delta: np.ndarray) -> float:
     return float(np.sqrt((delta**2).sum()))
 
 
+def _policy(args: argparse.Namespace) -> IntegratorPolicy:
+    try:
+        return IntegratorPolicy(dt=args.dt, t_end=args.tend)
+    except ValueError as err:
+        raise ConfigError([f"--dt/--tend: {err}"]) from err
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -177,21 +184,7 @@ def _identity_residuals(
         1.0, coeff_sq
     )
 
-    # completed square: both sides under the identical quadrature
-    alpha = params.beta5 / (2.0 * params.beta2)
-    x = operators.padded_grad_laplacian(v)
-    y = operators.cubic_gradient_values(v)
-    xx = operators.grid_inner(x, x, grid, grid.padded_points)
-    xy = operators.grid_inner(x, y, grid, grid.padded_points)
-    yy = operators.grid_inner(y, y, grid, grid.padded_points)
-    lhs = (
-        2.0 * params.beta2 * xx
-        - (4.0 * alpha * params.beta2 + 2.0 * params.beta5) * xy
-        + 4.0 * alpha * params.beta5 * yy
-    )
-    z = math.sqrt(2.0 * params.beta2) * x - math.sqrt(4.0 * alpha * params.beta5) * y
-    rhs_sq = operators.grid_inner(z, z, grid, grid.padded_points)
-    square = abs(lhs - rhs_sq) / max(1.0, abs(lhs), abs(rhs_sq))
+    square = diagnostics.completed_square_residual(v, params)
 
     return {
         "parseval": parseval,
@@ -236,7 +229,10 @@ def _cmd_verify_identities(args: argparse.Namespace) -> int:
 
 def _cmd_verify_inequalities(args: argparse.Namespace) -> int:
     grid, band = _ensemble_space(args.dim, args.points, args.modes)
-    spec = SampleSpec(seed=args.seed, count=args.count, band=band)
+    try:
+        spec = SampleSpec(seed=args.seed, count=args.count, band=band)
+    except ValueError as err:
+        raise ConfigError([f"--count: {err}"]) from err
     reports = []
     reports += inequalities.check_interp(grid, spec)
     reports += inequalities.check_elliptic(grid, spec)
@@ -298,7 +294,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
             grid, (top,) * dim, seed=args.seed,
             decay=args.decay, amplitude=args.amplitude,
         )
-    policy = IntegratorPolicy(dt=args.dt, t_end=args.tend)
+    policy = _policy(args)
 
     terminals = []
     for b in bands:
@@ -340,15 +336,16 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _cmd_holder(args: argparse.Namespace) -> int:
+    if args.amplitude == 0.0:
+        raise ConfigError(["--amplitude: must be nonzero; a zero field has no quotients"])
     grid, band = _ensemble_space(args.dim, args.points, args.modes)
     u0 = fields.random_field(
         grid, band.modes, seed=args.seed, decay=4.0, amplitude=args.amplitude
     )
-    policy = IntegratorPolicy(dt=args.dt, t_end=args.tend)
+    policy = _policy(args)
     traj = _require_completed(
         stepping.integrate(u0, _DEFAULT_PARAMS, policy, band=band, cadence=1)
     )
-    dense = diagnostics.holder_quotient(traj, args.exponent, args.norm)
     thin = stepping.Trajectory(
         grid=traj.grid,
         band=traj.band,
@@ -357,7 +354,11 @@ def _cmd_holder(args: argparse.Namespace) -> int:
         times=traj.times[::2],
         snapshots=traj.snapshots[::2],
     )
-    sparse = diagnostics.holder_quotient(thin, args.exponent, args.norm)
+    try:
+        dense = diagnostics.holder_quotient(traj, args.exponent, args.norm)
+        sparse = diagnostics.holder_quotient(thin, args.exponent, args.norm)
+    except ValueError as err:
+        raise ConfigError([f"--exponent/--tend/--dt: {err}"]) from err
     change = abs(dense.sup_quotient - sparse.sup_quotient) / dense.sup_quotient
     print(
         f"sup |u(t)-u(s)|_{args.norm} / |t-s|^{args.exponent:g} = "
@@ -389,7 +390,7 @@ def _cmd_depend(args: argparse.Namespace) -> int:
     )
     direction = fields.random_field(grid, band.modes, seed=args.seed, index=1)
     unit = direction.coeffs / _coeff_l2(direction.coeffs)
-    policy = IntegratorPolicy(dt=args.dt, t_end=args.tend)
+    policy = _policy(args)
 
     reports = []
     for delta in args.delta:

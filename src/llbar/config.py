@@ -17,7 +17,8 @@ import numpy as np
 
 from . import fields
 from .fields import GridSpec, SpectralField
-from .galerkin import LLBarParams, ModeBand
+from .galerkin import LLBarParams, ModeBand, project
+from .operators import padded_values
 from .stepping import IntegratorPolicy
 
 __all__ = [
@@ -123,7 +124,7 @@ class _Collector:
             return default
         try:
             return parse(text)
-        except ValueError as err:
+        except (ValueError, OverflowError) as err:
             self.complain(section, key, str(err) or f"cannot parse {text!r}")
             return default
 
@@ -349,16 +350,10 @@ def build_initial(spec: InitialSpec, grid: GridSpec, band: ModeBand) -> Spectral
                 f"snapshot grid {u.grid.points}/{u.grid.extents} does not "
                 f"match the configured grid {grid.points}/{grid.extents}"
             )
-        full = fields.forward(u)
-        out = np.zeros((3,) + band.modes)
-        keep = tuple(slice(0, min(m, b)) for m, b in zip(full.modes, band.modes))
-        out[(slice(None),) + keep] = full.coeffs[(slice(None),) + keep]
-        coeffs = out
+        coeffs = project(fields.forward(u), band).coeffs
     field = SpectralField(grid=grid, modes=band.modes, coeffs=coeffs)
     if spec.normalize_linf is not None:
-        vals = fields._eval_series(
-            field.coeffs, grid.extents, ("cos",) * grid.dim, grid.padded_points
-        )
+        vals = padded_values(field)
         current = float(np.sqrt((vals**2).sum(axis=0).max()))
         if current <= 0.0:
             raise ValueError("cannot normalize a vanishing field")

@@ -5,9 +5,10 @@ state.  The L2-family norms come from Parseval on the retained
 coefficients and are exact for band-limited fields; L4/L6/Linf and the
 mixed quartic products are quadratures on the twice-oversampled grid,
 where the quartic ones are themselves exact thanks to the dealiasing
-margin.  Balance residuals replace d/dt by centered differences (second
-order one-sided stencils at the ends), so their magnitude converges at
-the integrator's order under dt refinement --- that convergence, not
+margin.  Balance residuals replace d/dt by second-order differences over
+the recorded times (three-point stencils that allow a short final
+interval, one-sided at the ends), so their magnitude converges at the
+integrator's order under dt refinement --- that convergence, not
 smallness per se, is the claim being checked.
 """
 
@@ -23,7 +24,7 @@ from scipy import integrate as sci_integrate
 from . import fields, galerkin, operators
 from .fields import SpectralField, VectorField
 from .galerkin import LLBarParams
-from .stepping import IntegratorPolicy, Trajectory, integrate
+from .stepping import BlowupError, IntegratorPolicy, Trajectory, integrate
 
 __all__ = [
     "LEDGER_HEADER",
@@ -41,6 +42,7 @@ __all__ = [
     "bihari_general",
     "holder_quotient",
     "continuous_dependence",
+    "completed_square_residual",
     "three_d_energy_identity",
 ]
 
@@ -193,24 +195,6 @@ class EnergyLedger:
             handle.write("\n".join(lines) + "\n")
 
 
-def _uniform_spacing(t: np.ndarray, what: str) -> float:
-    dt = np.diff(t)
-    if dt.size == 0:
-        raise ValueError(f"{what} needs at least two records")
-    if np.abs(dt - dt[0]).max() > 1e-9 * max(dt[0], 1e-30):
-        raise ValueError(f"{what} requires uniformly spaced times")
-    return float(dt[0])
-
-
-def _ddt(y: np.ndarray, h: float) -> np.ndarray:
-    """Centered first derivative, second-order one-sided at the ends."""
-    out = np.empty_like(y)
-    out[1:-1] = (y[2:] - y[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
-    out[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * h)
-    return out
-
-
 def energy_balance_residual(
     ledger: EnergyLedger, params: LLBarParams
 ) -> np.ndarray:
@@ -223,8 +207,7 @@ def energy_balance_residual(
         raise ValueError(
             f"balance residual needs at least 3 records, got {len(ledger)}"
         )
-    h = _uniform_spacing(ledger.times, "balance residual")
-    half_ddt = 0.5 * _ddt(ledger.column("L2") ** 2, h)
+    half_ddt = 0.5 * np.gradient(ledger.column("L2") ** 2, ledger.times, edge_order=2)
     return (
         half_ddt
         + params.beta1 * ledger.column("gradL2") ** 2
@@ -249,8 +232,6 @@ def h1_balance_residual(traj: Trajectory, params: LLBarParams) -> np.ndarray:
         raise ValueError(
             f"balance residual needs at least 3 snapshots, got {len(traj.times)}"
         )
-    t = np.asarray(traj.times)
-    h = _uniform_spacing(t, "balance residual")
     grid = traj.grid
     points = grid.padded_points
     n = len(traj.snapshots)
@@ -277,7 +258,7 @@ def h1_balance_residual(traj: Trajectory, params: LLBarParams) -> np.ndarray:
         dcub = operators.cubic_laplacian_values(s)
         quartic_inner[i] = (dcub * lap).sum() * vol
     return (
-        0.5 * _ddt(grad_sq, h)
+        0.5 * np.gradient(grad_sq, np.asarray(traj.times), edge_order=2)
         + params.beta1 * delta_sq
         + params.beta2 * grad_delta_sq
         - params.beta3 * grad_sq
@@ -539,10 +520,7 @@ def continuous_dependence(
     traj_v = integrate(v0, params, policy, band=traj_u.band, cadence=cadence)
     for traj in (traj_u, traj_v):
         if traj.aborted:
-            t_abort, norm = traj.blowup
-            raise RuntimeError(
-                f"dependence run blew up at t={t_abort:.6g} (norm {norm:.3g})"
-            )
+            raise BlowupError(*traj.blowup)
     if traj_u.times != traj_v.times:
         raise ValueError("trajectories recorded different tick schedules")
 
@@ -571,8 +549,8 @@ def continuous_dependence(
     )
 
 
-def three_d_energy_identity(traj: Trajectory, params: LLBarParams) -> np.ndarray:
-    """Relative residual of the completed-square rearrangement per snapshot.
+def completed_square_residual(s: SpectralField, params: LLBarParams) -> float:
+    """Relative residual of the completed-square rearrangement at one field.
 
     With alpha = beta5/(2 beta2), the combination
 
@@ -581,27 +559,37 @@ def three_d_energy_identity(traj: Trajectory, params: LLBarParams) -> np.ndarray
 
     equals |sqrt(2 beta2) grad Du - sqrt(4 alpha beta5) grad(|u|^2 u)|^2
     identically; both sides are evaluated with the same quadrature, so the
-    residual probes pure floating-point algebra.  The quartic/sextic
-    monitors entering the three-dimensional estimate are checked finite
-    along the way.
+    residual probes pure floating-point algebra.
     """
     if params.beta2 <= 0.0:
         raise ValueError("the completed square needs beta2 > 0")
     alpha = params.beta5 / (2.0 * params.beta2)
-    grid = traj.grid
+    grid = s.grid
     points = grid.padded_points
+    x = operators.padded_grad_laplacian(s)
+    y = operators.cubic_gradient_values(s)
+    xx = operators.grid_inner(x, x, grid, points)
+    xy = operators.grid_inner(x, y, grid, points)
+    yy = operators.grid_inner(y, y, grid, points)
+    lhs = (
+        2.0 * params.beta2 * xx
+        - (4.0 * alpha * params.beta2 + 2.0 * params.beta5) * xy
+        + 4.0 * alpha * params.beta5 * yy
+    )
+    z = math.sqrt(2.0 * params.beta2) * x - math.sqrt(4.0 * alpha * params.beta5) * y
+    rhs = operators.grid_inner(z, z, grid, points)
+    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+
+
+def three_d_energy_identity(traj: Trajectory, params: LLBarParams) -> np.ndarray:
+    """Completed-square residual (:func:`completed_square_residual`) per snapshot.
+
+    The quartic/sextic monitors entering the three-dimensional estimate
+    are checked finite along the way.
+    """
     out = np.empty(len(traj.snapshots))
     for i, s in enumerate(traj.snapshots):
-        x = operators.padded_grad_laplacian(s)
-        y = operators.cubic_gradient_values(s)
-        xx = operators.grid_inner(x, x, grid, points)
-        xy = operators.grid_inner(x, y, grid, points)
-        yy = operators.grid_inner(y, y, grid, points)
-        lhs = 2.0 * params.beta2 * xx - (4.0 * alpha * params.beta2 + 2.0 * params.beta5) * xy + 4.0 * alpha * params.beta5 * yy
-        z = math.sqrt(2.0 * params.beta2) * x - math.sqrt(4.0 * alpha * params.beta5) * y
-        rhs = operators.grid_inner(z, z, grid, points)
-        scale = max(1.0, abs(lhs), abs(rhs))
-        out[i] = abs(lhs - rhs) / scale
+        out[i] = completed_square_residual(s, params)
         suite = norms(s, traj.times[i])
         if not (math.isfinite(suite.L4) and math.isfinite(suite.L6)):
             raise ValueError("quartic/sextic monitors turned non-finite")

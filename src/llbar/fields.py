@@ -10,20 +10,19 @@ this module are with respect to that L2-orthonormal basis, so Parseval is
 an exact identity for band-limited fields.
 
 Transforms ride on the orthonormal DCT-II/DST-II pair (midpoint
-collocation): scipy's pocketfft passes, or, for cosine axes of at most
-_MATRIX_MAX_POINTS points, dense products with the same DCT-II as a
-matrix.  With norm='ortho' on an N-point axis of length L the scale
-bridge between samples and basis coefficients is a bare factor sqrt(L/N)
-per axis, and zero-padding coefficients before the inverse transform
-evaluates the same continuum field on a finer midpoint grid.  Odd
-derivatives flip an axis to sine parity; sine frequencies k = 1..P-1
-live in DST index k-1.
+collocation), one axis at a time: an axis of at most _MATRIX_MAX_POINTS
+points, of either parity, is a product with the transform as a dense
+matrix, and a longer axis is one scipy pocketfft pass.  With
+norm='ortho' on an N-point axis of length L the scale bridge between
+samples and basis coefficients is a bare factor sqrt(L/N) per axis, and
+zero-padding coefficients before the inverse transform evaluates the
+same continuum field on a finer midpoint grid.  Odd derivatives flip an
+axis to sine parity; sine frequencies k = 1..P live in DST index k-1.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,30 +42,10 @@ __all__ = [
     "random_field",
     "read_snapshot",
     "write_snapshot",
-    "fft_workers",
 ]
 
 SNAPSHOT_MAGIC = b"LLBR"
 SNAPSHOT_VERSION = 1
-
-
-def fft_workers() -> int:
-    """Worker-thread cap for the pocketfft passes (env LLBAR_THREADS, default 1).
-
-    It governs only the axes still transformed by pocketfft: sine-parity
-    (derivative) axes and cosine axes longer than _MATRIX_MAX_POINTS.  The
-    matrix-product axes run in BLAS, whose own thread setting
-    (OPENBLAS_NUM_THREADS for numpy's bundled OpenBLAS) applies instead.
-    pocketfft parallelizes across independent 1-d lines only, and OpenBLAS
-    splits a product into output blocks, never along the summed index, so
-    results are bitwise identical for any worker count of either.
-    """
-    raw = os.environ.get("LLBAR_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 @dataclass(frozen=True)
@@ -128,11 +107,6 @@ class GridSpec:
         N = self.points[axis] if points is None else points
         return (np.arange(N) + 0.5) * (self.extents[axis] / N)
 
-    def meshgrid(self, padded: bool = False) -> tuple[np.ndarray, ...]:
-        pts = self.padded_points if padded else self.points
-        axes = [self.axis_coords(j, pts[j]) for j in range(self.dim)]
-        return tuple(np.meshgrid(*axes, indexing="ij"))
-
 
 def _check_finite(name: str, data: np.ndarray) -> None:
     if not np.all(np.isfinite(data)):
@@ -172,14 +146,20 @@ class JacobianField:
         object.__setattr__(self, "data", data)
 
 
+@lru_cache(maxsize=32)
 def eigenvalue_array(grid: GridSpec, modes: tuple[int, ...]) -> np.ndarray:
-    """lambda(k) = sum_j (k_j pi / L_j)^2 on the given mode box, shape = modes."""
+    """lambda(k) = sum_j (k_j pi / L_j)^2 on the given mode box, shape = modes.
+
+    Built once per (grid, modes) and read-only: the cache hands the same
+    array to every caller.
+    """
     per_axis = [
         (np.arange(M) * np.pi / L) ** 2 for M, L in zip(modes, grid.extents)
     ]
     lam = per_axis[0]
     for arr in per_axis[1:]:
         lam = lam[..., None] + arr
+    lam.setflags(write=False)
     return lam
 
 
@@ -217,35 +197,41 @@ class SpectralField:
 
 
 # ---------------------------------------------------------------------------
-# Low-level mixed-parity transforms.
+# Low-level transforms, one axis at a time.
 #
 # Coefficient arrays are always indexed by frequency k along every axis.
 # Parity 'cos' means basis sqrt(2-ish/L) cos(k pi x/L); parity 'sin' means
 # sqrt(2/L) sin(k pi x/L) with the k=0 slot required to be zero.
 #
-# All-cosine transforms apply each axis of at most _MATRIX_MAX_POINTS grid
-# points as a dense matrix product (BLAS GEMM); longer axes, and every
-# transform with a sine-parity axis, go through pocketfft.  On short axes
-# the matrix product beats pocketfft plus scipy's dispatch layers; on long
-# axes the O(P log P) transform wins.  In 1-d, with the band at half the
-# padded grid, the measured crossover lies between 256 and 320 points.
+# An axis of at most _MATRIX_MAX_POINTS grid points, of either parity, is
+# a dense matrix product (BLAS GEMM); a longer axis is one pocketfft pass.
+# On short axes the matrix product beats pocketfft plus scipy's dispatch
+# layers; on long axes the O(P log P) transform wins.  In 1-d, with the
+# band at half the padded grid, the measured crossover lies between 256
+# and 320 points.
 # ---------------------------------------------------------------------------
 
 _MATRIX_MAX_POINTS = 256
 
 
 @lru_cache(maxsize=32)
-def _cosine_matrices(M: int, P: int, L: float) -> tuple[np.ndarray, np.ndarray]:
-    """Dense orthonormal DCT-II pair between M modes and P midpoints on [0, L].
+def _axis_matrices(parity: str, M: int, P: int, L: float) -> tuple[np.ndarray, np.ndarray]:
+    """Dense orthonormal DCT-II or DST-II pair between M modes and P midpoints on [0, L].
 
     Returns the synthesis matrix (P x M; zero-padding built in) and the
     analysis matrix (M x P; truncation built in), with the sqrt(P/L) and
-    sqrt(L/P) basis scales folded in.  Both are read-only: the cache hands
-    the same arrays to every caller.
+    sqrt(L/P) basis scales folded in.  Sine frequency k is DST row k-1, so
+    the sine k=0 row is zero.  Both are read-only: the cache hands the
+    same arrays to every caller.
     """
-    dct = sfft.dct(np.eye(P), type=2, norm="ortho", axis=0)[:M]  # dct[k, p]
-    synthesis = np.ascontiguousarray(dct.T) * np.sqrt(P / L)
-    analysis = dct * np.sqrt(L / P)
+    eye = np.eye(P)
+    if parity == "cos":
+        basis = sfft.dct(eye, type=2, norm="ortho", axis=0)[:M]  # basis[k, p]
+    else:
+        dst = sfft.dst(eye, type=2, norm="ortho", axis=0)
+        basis = np.vstack([np.zeros((1, P)), dst])[:M]
+    synthesis = np.ascontiguousarray(basis.T) * np.sqrt(P / L)
+    analysis = basis * np.sqrt(L / P)
     synthesis.setflags(write=False)
     analysis.setflags(write=False)
     return synthesis, analysis
@@ -273,59 +259,39 @@ def _apply_axis(matrix: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
     return out.reshape(shape[:axis] + (matrix.shape[0],) + shape[axis + 1 :])
 
 
+def _along(axis: int, index: slice) -> tuple[slice, ...]:
+    return (slice(None),) * axis + (index,)
+
+
 def _eval_series(
     coeffs: np.ndarray,
     extents: tuple[float, ...],
     parities: tuple[str, ...],
     out_points: tuple[int, ...],
 ) -> np.ndarray:
-    """Evaluate a frequency-indexed coefficient array on a midpoint grid."""
-    dim = len(extents)
-    lead = coeffs.ndim - dim  # leading (component) axes pass through untouched
+    """Evaluate a frequency-indexed coefficient array on a midpoint grid.
+
+    Axes go last first, so the earlier passes run on the still-truncated
+    slab.
+    """
+    lead = coeffs.ndim - len(extents)  # leading (component) axes pass through untouched
     arr = coeffs
-    scale = 1.0
-    if all(p == "cos" for p in parities):
-        # fast path: per-axis zero-padded transforms, last axis first so the
-        # earlier passes run on the still-truncated slab; the sqrt(P/L)
-        # scale of pocketfft axes is applied once, on the small input
-        for j, P in enumerate(out_points):
-            if coeffs.shape[lead + j] > P:
-                raise ValueError(
-                    f"cannot evaluate {coeffs.shape[lead + j]} modes on {P} points along axis {j}"
-                )
-            if P > _MATRIX_MAX_POINTS:
-                scale *= np.sqrt(P / extents[j])
-        arr = coeffs * scale
-        for j in reversed(range(dim)):
-            P = out_points[j]
-            if P > _MATRIX_MAX_POINTS:
-                arr = sfft.idct(
-                    arr, type=2, n=P, axis=lead + j, norm="ortho", workers=fft_workers()
-                )
-            else:
-                synthesis, _ = _cosine_matrices(arr.shape[lead + j], P, extents[j])
-                arr = _apply_axis(synthesis, arr, lead + j)
-        return arr
-    workers = fft_workers()
-    for j in range(dim):
-        axis = lead + j
-        P = out_points[j]
-        M = arr.shape[axis]
+    for j in reversed(range(len(extents))):
+        axis, M, P = lead + j, coeffs.shape[lead + j], out_points[j]
         if M > P:
             raise ValueError(f"cannot evaluate {M} modes on {P} points along axis {j}")
-        pad_width = [(0, 0)] * arr.ndim
-        if parities[j] == "cos":
-            pad_width[axis] = (0, P - M)
-            padded = np.pad(arr, pad_width)
-            arr = sfft.idct(padded, type=2, norm="ortho", axis=axis, workers=workers)
+        if P <= _MATRIX_MAX_POINTS:
+            synthesis, _ = _axis_matrices(parities[j], M, P, extents[j])
+            arr = _apply_axis(synthesis, arr, axis)
         else:
-            # drop the (zero) k=0 slot: frequency k sits at DST index k-1
-            shifted = np.take(arr, np.arange(1, M), axis=axis)
-            pad_width[axis] = (0, P - (M - 1))
-            padded = np.pad(shifted, pad_width)
-            arr = sfft.idst(padded, type=2, norm="ortho", axis=axis, workers=workers)
-        scale *= np.sqrt(P / extents[j])
-    return arr * scale
+            # pocketfft zero-pads to n=P; the sine k=0 slot is dropped
+            shift = int(parities[j] == "sin")
+            inverse_pass = sfft.idst if shift else sfft.idct
+            arr = inverse_pass(
+                arr[_along(axis, slice(shift, None))] * math.sqrt(P / extents[j]),
+                type=2, n=P, axis=axis, norm="ortho",
+            )
+    return arr
 
 
 def _transform_series(
@@ -334,45 +300,28 @@ def _transform_series(
     parities: tuple[str, ...],
     modes: tuple[int, ...],
 ) -> np.ndarray:
-    """Project midpoint-grid samples onto frequency-indexed coefficients."""
-    dim = len(extents)
-    lead = values.ndim - dim
+    """Project midpoint-grid samples onto frequency-indexed coefficients.
+
+    Each axis is truncated as soon as it is transformed, so the later
+    passes work on the reduced slab.
+    """
+    lead = values.ndim - len(extents)
     arr = values
-    scale = 1.0
-    if all(p == "cos" for p in parities):
-        # fast path: truncate each axis as soon as it is transformed so the
-        # later passes work on the reduced slab
-        for j in range(dim):
-            P = values.shape[lead + j]
-            if P > _MATRIX_MAX_POINTS:
-                scale *= np.sqrt(extents[j] / P)
-                arr = sfft.dct(
-                    arr, type=2, norm="ortho", axis=lead + j, workers=fft_workers()
-                )
-                sl = [slice(None)] * arr.ndim
-                sl[lead + j] = slice(0, modes[j])
-                arr = arr[tuple(sl)]
-            else:
-                _, analysis = _cosine_matrices(modes[j], P, extents[j])
-                arr = _apply_axis(analysis, arr, lead + j)
-        return np.ascontiguousarray(arr) * scale
-    workers = fft_workers()
-    for j in range(dim):
-        axis = lead + j
-        P = arr.shape[axis]
-        M = modes[j]
-        if parities[j] == "cos":
-            full = sfft.dct(arr, type=2, norm="ortho", axis=axis, workers=workers)
-            arr = np.take(full, np.arange(M), axis=axis)
+    for j in range(len(extents)):
+        axis, M, P = lead + j, modes[j], values.shape[lead + j]
+        if P <= _MATRIX_MAX_POINTS:
+            _, analysis = _axis_matrices(parities[j], M, P, extents[j])
+            arr = _apply_axis(analysis, arr, axis)
         else:
-            full = sfft.dst(arr, type=2, norm="ortho", axis=axis, workers=workers)
-            # DST index k-1 holds frequency k; re-insert the empty k=0 slot
-            kept = np.take(full, np.arange(min(M - 1, P)), axis=axis)
-            pad_width = [(0, 0)] * arr.ndim
-            pad_width[axis] = (1, M - 1 - kept.shape[axis])
-            arr = np.pad(kept, pad_width)
-        scale *= np.sqrt(extents[j] / P)
-    return arr * scale
+            # keep the first M frequencies; DST index k-1 holds sine frequency k
+            shift = int(parities[j] == "sin")
+            forward_pass = sfft.dst if shift else sfft.dct
+            full = forward_pass(arr, type=2, norm="ortho", axis=axis)
+            arr = np.zeros(arr.shape[:axis] + (M,) + arr.shape[axis + 1 :])
+            arr[_along(axis, slice(shift, M))] = full[
+                _along(axis, slice(0, M - shift))
+            ] * math.sqrt(extents[j] / P)
+    return arr
 
 
 _DERIV_SIGN = (1.0, -1.0, -1.0, 1.0)  # d^m/dx^m cos: sign pattern by m mod 4

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -127,8 +126,6 @@ class LLBarParams:
     ) -> "LLBarParams":
         """Build the betas from relaxation/exchange/susceptibility inputs."""
         chi = float(chi)
-        if not math.isfinite(chi) or chi <= 0.0:
-            raise ValueError(f"chi must be positive and finite, got {chi}")
         return cls(
             beta1=derive_beta1(lambda_r, lambda_e, chi),
             beta2=float(lambda_e),
@@ -244,14 +241,6 @@ def rhs_linear_factor(
     return -params.beta1 * lam - params.beta2 * lam * lam
 
 
-@lru_cache(maxsize=32)
-def _eigenvalues(grid: GridSpec, modes: tuple[int, ...]) -> np.ndarray:
-    """Read-only ``lambda(k)`` on a band, built once per (grid, modes)."""
-    lam = fields.eigenvalue_array(grid, modes)
-    lam.setflags(write=False)
-    return lam
-
-
 def nonlinear_term(
     v: SpectralField, params: LLBarParams
 ) -> tuple[SpectralField, float]:
@@ -265,7 +254,7 @@ def nonlinear_term(
     folded in as ``-lambda(k)`` times the cubic coefficients.
     """
     grid = v.grid
-    lam = _eigenvalues(grid, v.modes)
+    lam = fields.eigenvalue_array(grid, v.modes)
     stacked = np.empty((6,) + v.modes)
     stacked[:3] = v.coeffs
     np.multiply(v.coeffs, -lam[None], out=stacked[3:])

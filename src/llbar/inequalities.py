@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import fields
+from . import fields, operators
 from .fields import GridSpec, SpectralField
 from .galerkin import ModeBand
 
@@ -221,12 +221,8 @@ def product_hs_ratio(u: SpectralField, v: SpectralField, s: int) -> float:
     grid = u.grid
     if v.grid != grid:
         raise ValueError("product factors must share a grid")
-    mag_u = np.sqrt((fields._eval_series(
-        u.coeffs, grid.extents, ("cos",) * grid.dim, grid.padded_points
-    ) ** 2).sum(axis=0))
-    mag_v = np.sqrt((fields._eval_series(
-        v.coeffs, grid.extents, ("cos",) * grid.dim, grid.padded_points
-    ) ** 2).sum(axis=0))
+    mag_u = np.sqrt((operators.padded_values(u) ** 2).sum(axis=0))
+    mag_v = np.sqrt((operators.padded_values(v) ** 2).sum(axis=0))
     w = fields._transform_series(
         mag_u * mag_v, grid.extents, ("cos",) * grid.dim, grid.points
     )
@@ -256,8 +252,8 @@ def cubic_lipschitz_ratio(u: SpectralField, v: SpectralField, k_order: int) -> f
     vol = float(
         np.prod([L / P for L, P in zip(grid.extents, grid.padded_points)])
     )
-    cu = _cubic_coeffs(u)
-    cv = _cubic_coeffs(v)
+    cu = operators.cubic_band(u, grid.points)
+    cv = operators.cubic_band(v, grid.points)
     gap = SpectralField(grid=grid, modes=cu.modes, coeffs=cu.coeffs - cv.coeffs)
     num_sq = 0.0
     for alpha in _multi_indices(grid.dim, k_order):
@@ -270,20 +266,6 @@ def cubic_lipschitz_ratio(u: SpectralField, v: SpectralField, k_order: int) -> f
     if denom < _ZERO_CUT:
         return 0.0 if num < _ZERO_CUT else math.inf
     return num / denom
-
-
-def _cubic_coeffs(v: SpectralField) -> SpectralField:
-    """|v|^2 v expanded on the full grid band (exact for band <= N/... the
-    oversampled analysis grid keeps the retained part alias-free)."""
-    grid = v.grid
-    vals = fields._eval_series(
-        v.coeffs, grid.extents, ("cos",) * grid.dim, grid.padded_points
-    )
-    w = (vals**2).sum(axis=0)[None] * vals
-    coeffs = fields._transform_series(
-        w, grid.extents, ("cos",) * grid.dim, grid.points
-    )
-    return SpectralField(grid=grid, modes=grid.points, coeffs=coeffs)
 
 
 def cross_diff_ratio(u: SpectralField, v: SpectralField, k: int) -> float:
@@ -299,12 +281,8 @@ def cross_diff_ratio(u: SpectralField, v: SpectralField, k: int) -> float:
     vol = float(
         np.prod([L / P for L, P in zip(grid.extents, grid.padded_points)])
     )
-    u_vals = fields._eval_series(
-        u.coeffs, grid.extents, ("cos",) * grid.dim, grid.padded_points
-    )
-    v_vals = fields._eval_series(
-        v.coeffs, grid.extents, ("cos",) * grid.dim, grid.padded_points
-    )
+    u_vals = operators.padded_values(u)
+    v_vals = operators.padded_values(v)
     diff = SpectralField(grid=grid, modes=u.modes, coeffs=u.coeffs - v.coeffs)
     lhs_sq = 0.0
     dk_gap_sq = 0.0

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate as sci_integrate
 
-from llbar import cli, diagnostics, fields, inequalities, stepping
+from llbar import cli, diagnostics, fields, inequalities, operators, stepping
 from llbar.diagnostics import EnergyLedger
 from llbar.fields import GridSpec, SpectralField
 from llbar.galerkin import LLBarParams, ModeBand
@@ -33,10 +33,8 @@ def unit_constant(grid: GridSpec) -> SpectralField:
 
 
 def sup_gap(a: SpectralField, b: SpectralField) -> float:
-    gap = a.coeffs - b.coeffs
-    vals = fields._eval_series(
-        gap, a.grid.extents, ("cos",) * a.grid.dim, a.grid.padded_points
-    )
+    gap = SpectralField(grid=a.grid, modes=a.modes, coeffs=a.coeffs - b.coeffs)
+    vals = operators.padded_values(gap)
     return float(np.sqrt((vals**2).sum(axis=0).max()))
 
 

@@ -201,6 +201,64 @@ def test_run_cadence_row_contract(tmp_path):
     assert len(list((tmp_path / "out").glob("walk_*.snap"))) == 101
 
 
+def test_run_off_cadence_final_record(tmp_path):
+    # 100 steps at cadence 7 end on a short final interval (98 -> 100)
+    text = textwrap.dedent(
+        f"""\
+        [grid]
+        extents = 1.0, 0.8
+        points = 16, 16
+
+        [params]
+        beta1 = 0.4
+        beta2 = 0.01
+        beta3 = 1.2
+        beta4 = 0.7
+        beta5 = 0.25
+
+        [integrator]
+        dt = 1e-3
+        t_end = 0.1
+
+        [initial]
+        kind = random_band
+        decay = 4.0
+        amplitude = 0.8
+
+        [output]
+        directory = {tmp_path}/out
+        cadence = 7
+        """
+    )
+    assert cli.main(["run", write_config(tmp_path, text)]) == 0
+    lines = (tmp_path / "out" / "state_ledger.csv").read_text().splitlines()
+    assert len(lines) == 17, "records at steps 0, 7, ..., 98 and the final step 100"
+    rows = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+    assert rows[-1, 0] == pytest.approx(0.1)
+    assert np.all(np.isfinite(rows[:, -1]))
+
+
+@pytest.mark.parametrize(
+    "argv, code, detail",
+    [
+        (["verify-inequalities", "--count", "0"], 2, "--count"),
+        (["converge", "--dt", "0"], 2, "dt must be positive"),
+        (["holder", "--tend", "0.005"], 2, "at least 10 snapshots"),
+        (["holder", "--amplitude", "0"], 2, "--amplitude"),
+        (["depend", "--amplitude", "1e7", "--tend", "0.002"], 3, "blow-up threshold"),
+        (["run", "{overflow}"], 2, "[grid] points"),
+    ],
+)
+def test_error_paths_print_one_line(tmp_path, capsys, argv, code, detail):
+    overflow = write_config(tmp_path, GOOD.replace("points = 8", "points = 1e400"))
+    argv = [arg.format(overflow=overflow) for arg in argv]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    label = {2: "config-error", 3: "blowup"}[code]
+    assert err.startswith(f"llbar: {label}: ") and detail in err, err
+    assert err.count("\n") == 1, "diagnostics must land on a single line"
+
+
 def test_run_config_error_exit(tmp_path, capsys):
     bad = GOOD.replace("dt = 1e-3", "dt = -2")
     code = cli.main(["run", write_config(tmp_path, bad)])

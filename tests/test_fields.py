@@ -199,17 +199,6 @@ def test_snapshot_rejects_corruption(tmp_path):
         fields.read_snapshot(truncated)
 
 
-def test_fft_workers_env(monkeypatch):
-    monkeypatch.delenv("LLBAR_THREADS", raising=False)
-    assert fields.fft_workers() == 1
-    monkeypatch.setenv("LLBAR_THREADS", "4")
-    assert fields.fft_workers() == 4
-    monkeypatch.setenv("LLBAR_THREADS", "not-a-number")
-    assert fields.fft_workers() == 1
-    monkeypatch.setenv("LLBAR_THREADS", "-2")
-    assert fields.fft_workers() == 1
-
-
 @pytest.mark.parametrize(
     "extents, modes, points",
     [
@@ -221,39 +210,46 @@ def test_fft_workers_env(monkeypatch):
     ],
 )
 def test_matrix_and_pocketfft_paths_agree(monkeypatch, extents, modes, points):
-    # the dense-matrix route and the retained pocketfft route compute one
-    # linear map; force every cosine axis onto each route in turn
+    # the dense-matrix route and the pocketfft route compute one linear
+    # map for either parity; force every axis onto each route in turn,
+    # for every cosine/sine assignment of the axes
     rng = np.random.default_rng(5)
     coeffs = rng.standard_normal((3,) + modes)
     values = rng.standard_normal((3,) + points)
-    cos = ("cos",) * len(extents)
-
-    def transforms():
-        return (
-            fields._eval_series(coeffs, extents, cos, points),
-            fields._transform_series(values, extents, cos, modes),
-        )
-
     rule = fields._MATRIX_MAX_POINTS
-    default = transforms()
-    monkeypatch.setattr(fields, "_MATRIX_MAX_POINTS", 0)
-    pocketfft = transforms()
-    monkeypatch.setattr(fields, "_MATRIX_MAX_POINTS", 10**6)
-    matrix = transforms()
-    for ref, got_matrix, got_default in zip(pocketfft, matrix, default):
-        scale = np.abs(ref).max()
-        assert np.abs(got_matrix - ref).max() <= 1e-13 * scale
-        assert np.abs(got_default - ref).max() <= 1e-13 * scale
-    # the length rule routes whole grids as documented
-    if max(points) <= rule:
-        assert all(np.array_equal(a, b) for a, b in zip(default, matrix))
-    if min(points) > rule:
-        assert all(np.array_equal(a, b) for a, b in zip(default, pocketfft))
+    for parities in itertools.product(("cos", "sin"), repeat=len(extents)):
+
+        def transforms():
+            return (
+                fields._eval_series(coeffs, extents, parities, points),
+                fields._transform_series(values, extents, parities, modes),
+            )
+
+        default = transforms()
+        monkeypatch.setattr(fields, "_MATRIX_MAX_POINTS", 0)
+        pocketfft = transforms()
+        monkeypatch.setattr(fields, "_MATRIX_MAX_POINTS", 10**6)
+        matrix = transforms()
+        monkeypatch.setattr(fields, "_MATRIX_MAX_POINTS", rule)
+        for ref, got_matrix, got_default in zip(pocketfft, matrix, default):
+            scale = np.abs(ref).max()
+            assert np.abs(got_matrix - ref).max() <= 1e-13 * scale, parities
+            assert np.abs(got_default - ref).max() <= 1e-13 * scale, parities
+        # the length rule routes whole grids as documented
+        if max(points) <= rule:
+            assert all(np.array_equal(a, b) for a, b in zip(default, matrix))
+        if min(points) > rule:
+            assert all(np.array_equal(a, b) for a, b in zip(default, pocketfft))
+        # sine axes carry no k=0 coefficient
+        analysis = default[1]
+        for j, parity in enumerate(parities):
+            if parity == "sin":
+                assert np.all(np.take(analysis, 0, axis=1 + j) == 0.0), parities
 
 
 _THREAD_PROBE = """
 import hashlib
-from llbar import fields, stepping
+from llbar import diagnostics, fields, stepping
 from llbar.fields import GridSpec
 from llbar.galerkin import LLBarParams
 from llbar.stepping import IntegratorPolicy
@@ -272,19 +268,20 @@ for extents, points, modes, steps in cases:
     traj = stepping.integrate(u0, params, policy, cadence=steps)
     assert not traj.aborted
     digest.update(traj.terminal.coeffs.tobytes())
+    # the norm suite runs sine-parity (derivative) axes as well
+    digest.update(repr(diagnostics.norms(traj.terminal)).encode())
 print(digest.hexdigest())
 """
 
 
 def test_results_independent_of_thread_counts():
-    # the README promises bitwise-identical results for any worker count:
-    # LLBAR_THREADS for the pocketfft passes, the BLAS thread count for
-    # the matrix products; OpenBLAS reads its count once, when it loads,
-    # so each setting runs in its own interpreter
+    # the README promises bitwise-identical results for any BLAS thread
+    # count, which governs the matrix products; OpenBLAS reads its count
+    # once, when it loads, so each setting runs in its own interpreter
     src = str(Path(fields.__file__).resolve().parents[1])
     digests = {}
-    for blas, workers in itertools.product(("1", "2"), ("1", "2")):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, LLBAR_THREADS=workers)
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         run = subprocess.run(
             [sys.executable, "-c", _THREAD_PROBE],
@@ -294,5 +291,5 @@ def test_results_independent_of_thread_counts():
             timeout=300,
         )
         assert run.returncode == 0, run.stderr
-        digests[(blas, workers)] = run.stdout.strip()
+        digests[blas] = run.stdout.strip()
     assert len(set(digests.values())) == 1, digests
