@@ -197,6 +197,8 @@ def _identity_residuals(
 
 def _cmd_verify_identities(args: argparse.Namespace) -> int:
     grid, band = _ensemble_space(args.dim, args.points, args.modes)
+    if args.count < 1:
+        raise ConfigError([f"--count: must be at least 1, got {args.count}"])
     worst: dict[str, tuple[float, int]] = {}
     for index in range(args.count):
         for name, value in _identity_residuals(
@@ -338,11 +340,21 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 def _cmd_holder(args: argparse.Namespace) -> int:
     if args.amplitude == 0.0:
         raise ConfigError(["--amplitude: must be nonzero; a zero field has no quotients"])
+    if not 0.0 < args.exponent < 1.0:
+        raise ConfigError([f"--exponent: must lie in (0, 1), got {args.exponent}"])
     grid, band = _ensemble_space(args.dim, args.points, args.modes)
+    policy = _policy(args)
+    n_full, remainder = stepping._step_plan(policy)
+    records = 1 + n_full + (1 if remainder else 0)  # every step is recorded
+    if (records + 1) // 2 < diagnostics._HOLDER_MIN_SNAPSHOTS:
+        raise ConfigError([
+            f"--tend/--dt: {records} snapshots, {(records + 1) // 2} at half "
+            f"density; the quotients need at least "
+            f"{diagnostics._HOLDER_MIN_SNAPSHOTS} snapshots in both"
+        ])
     u0 = fields.random_field(
         grid, band.modes, seed=args.seed, decay=4.0, amplitude=args.amplitude
     )
-    policy = _policy(args)
     traj = _require_completed(
         stepping.integrate(u0, _DEFAULT_PARAMS, policy, band=band, cadence=1)
     )
@@ -354,11 +366,8 @@ def _cmd_holder(args: argparse.Namespace) -> int:
         times=traj.times[::2],
         snapshots=traj.snapshots[::2],
     )
-    try:
-        dense = diagnostics.holder_quotient(traj, args.exponent, args.norm)
-        sparse = diagnostics.holder_quotient(thin, args.exponent, args.norm)
-    except ValueError as err:
-        raise ConfigError([f"--exponent/--tend/--dt: {err}"]) from err
+    dense = diagnostics.holder_quotient(traj, args.exponent, args.norm)
+    sparse = diagnostics.holder_quotient(thin, args.exponent, args.norm)
     change = abs(dense.sup_quotient - sparse.sup_quotient) / dense.sup_quotient
     print(
         f"sup |u(t)-u(s)|_{args.norm} / |t-s|^{args.exponent:g} = "

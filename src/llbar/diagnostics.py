@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -111,43 +112,78 @@ class NormSuite:
         return ",".join(f"{c:.17g}" for c in cells)
 
 
+@lru_cache(maxsize=2)
+def _norm_buffers(grid: fields.GridSpec, modes: tuple[int, ...]) -> tuple:
+    """Work buffers of :func:`norms` for one (grid, modes).
+
+    They are overwritten by every call and never leave :func:`norms`,
+    which reduces them to scalars before it returns.  An entry holds up
+    to 20 doubles per padded node (4.3 MiB for an 8^3 band on a 32^3
+    padded grid), so the cache keeps only two.  Two threads calling
+    :func:`norms` at once on one (grid, modes) would share them.
+    """
+    points = grid.padded_points
+    return (
+        np.empty((6,) + modes),  # coefficients of u and Lap u
+        fields._series_work(6, modes, points),  # synthesis of u and Lap u
+        fields._series_work(3, modes, points),  # synthesis of one d_j u
+        np.empty((6, math.prod(points))),  # node vectors
+    )
+
+
 def norms(u: SpectralField, t: float = 0.0) -> NormSuite:
     """Full norm suite of a snapshot.
 
     The L2 ladder is Parseval over the coefficients; everything involving
-    pointwise products is integrated on the oversampled grid.
+    pointwise products is integrated on the oversampled grid.  One
+    synthesis evaluates u and Lap u together, the Jacobian comes one
+    column at a time, and every pointwise quantity is reduced into a few
+    node vectors, all in buffers reused from call to call.
     """
     lam = u.eigenvalues
     c2 = (u.coeffs**2).sum(axis=0)
     ladder = [float(np.sqrt((lam**m * c2).sum())) for m in range(6)]
 
     grid = u.grid
-    points = grid.padded_points
-    vol = float(np.prod([L / P for L, P in zip(grid.extents, points)]))
-    vals = operators.padded_values(u)
-    jac = operators.padded_jacobian(u)
-    lap = operators.padded_laplacian_values(u)
-    mag2 = (vals**2).sum(axis=0)
-    grad2 = (jac**2).sum(axis=(0, 1))
-    lap_dot = (vals * lap).sum(axis=0)
-    lap2 = (lap**2).sum(axis=0)
-    u_dot_grad2 = (((vals[:, None] * jac).sum(axis=0)) ** 2).sum(axis=0)
+    extents, points, dim = grid.extents, grid.padded_points, grid.dim
+    vol = math.prod(L / P for L, P in zip(extents, points))
+    stack, values_work, column_work, nodes = _norm_buffers(grid, u.modes)
+    mag2, lap_dot, lap2, grad2, u_dot_grad2, tmp = nodes
+    stack[:3] = u.coeffs
+    np.multiply(u.coeffs, -lam[None], out=stack[3:])
+    both = fields._eval_series(stack, extents, ("cos",) * dim, points, values_work)
+    vals, lap = np.split(both.reshape(6, -1), 2)
+    np.einsum("cn,cn->n", vals, vals, out=mag2)
+    np.einsum("cn,cn->n", vals, lap, out=lap_dot)
+    np.einsum("cn,cn->n", lap, lap, out=lap2)
+    grad2.fill(0.0)
+    u_dot_grad2.fill(0.0)
+    for j in range(dim):
+        orders = tuple(int(a == j) for a in range(dim))
+        dc, parities = fields._derivative_multiplier(u.coeffs, extents, orders)
+        col = fields._eval_series(dc, extents, parities, points, column_work).reshape(3, -1)
+        grad2 += np.einsum("cn,cn->n", col, col, out=tmp)
+        np.einsum("cn,cn->n", vals, col, out=tmp)  # u . d_j u
+        u_dot_grad2 += np.multiply(tmp, tmp, out=tmp)
+
+    def integral(a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.multiply(a, b, out=tmp).sum() * vol)
 
     return NormSuite(
         t=t,
         L2=ladder[0],
-        L4=float((mag2**2).sum() * vol) ** 0.25,
-        L6=float((mag2**3).sum() * vol) ** (1.0 / 6.0),
-        Linf=float(np.sqrt(mag2.max())),
+        L4=integral(mag2, mag2) ** 0.25,
+        L6=integral(np.multiply(mag2, mag2, out=tmp), mag2) ** (1.0 / 6.0),
+        Linf=math.sqrt(mag2.max()),
         gradL2=ladder[1],
         deltaL2=ladder[2],
         gradDeltaL2=ladder[3],
         delta2L2=ladder[4],
         gradDelta2L2=ladder[5],
-        uDotGradU=float(np.sqrt(u_dot_grad2.sum() * vol)),
-        absUabsGradU=float(np.sqrt((mag2 * grad2).sum() * vol)),
-        uDotDeltaU=float(np.sqrt((lap_dot**2).sum() * vol)),
-        absUabsDeltaU=float(np.sqrt((mag2 * lap2).sum() * vol)),
+        uDotGradU=math.sqrt(u_dot_grad2.sum() * vol),
+        absUabsGradU=math.sqrt(integral(mag2, grad2)),
+        uDotDeltaU=math.sqrt(integral(lap_dot, lap_dot)),
+        absUabsDeltaU=math.sqrt(integral(mag2, lap2)),
     )
 
 
@@ -234,31 +270,24 @@ def h1_balance_residual(traj: Trajectory, params: LLBarParams) -> np.ndarray:
         )
     grid = traj.grid
     points = grid.padded_points
-    n = len(traj.snapshots)
-    grad_sq = np.empty(n)
-    delta_sq = np.empty(n)
-    grad_delta_sq = np.empty(n)
-    u_dot_grad_sq = np.empty(n)
-    mixed_sq = np.empty(n)
-    quartic_inner = np.empty(n)
-    for i, s in enumerate(traj.snapshots):
-        lam = s.eigenvalues
-        c2 = (s.coeffs**2).sum(axis=0)
-        grad_sq[i] = (lam * c2).sum()
-        delta_sq[i] = (lam**2 * c2).sum()
-        grad_delta_sq[i] = (lam**3 * c2).sum()
-        vals = operators.padded_values(s)
-        jac = operators.padded_jacobian(s)
-        lap = operators.padded_laplacian_values(s)
-        mag2 = (vals**2).sum(axis=0)
-        u_dot_grad = (vals[:, None] * jac).sum(axis=0)
-        vol = float(np.prod([L / P for L, P in zip(grid.extents, points)]))
-        u_dot_grad_sq[i] = (u_dot_grad**2).sum() * vol
-        mixed_sq[i] = (mag2 * (jac**2).sum(axis=(0, 1))).sum() * vol
-        dcub = operators.cubic_laplacian_values(s)
-        quartic_inner[i] = (dcub * lap).sum() * vol
+    ledger = EnergyLedger(
+        records=[norms(s, t) for t, s in zip(traj.times, traj.snapshots)]
+    )
+    grad_sq, delta_sq, grad_delta_sq, u_dot_grad_sq, mixed_sq = (
+        ledger.column(name) ** 2
+        for name in ("gradL2", "deltaL2", "gradDeltaL2", "uDotGradU", "absUabsGradU")
+    )
+    quartic_inner = np.array([
+        operators.grid_inner(
+            operators.cubic_laplacian_values(s),
+            operators.padded_laplacian_values(s),
+            grid,
+            points,
+        )
+        for s in traj.snapshots
+    ])
     return (
-        0.5 * np.gradient(grad_sq, np.asarray(traj.times), edge_order=2)
+        0.5 * np.gradient(grad_sq, ledger.times, edge_order=2)
         + params.beta1 * delta_sq
         + params.beta2 * grad_delta_sq
         - params.beta3 * grad_sq
@@ -442,6 +471,9 @@ class HolderReport:
             raise ValueError(f"sup quotient must be finite, got {self.sup_quotient}")
 
 
+_HOLDER_MIN_SNAPSHOTS = 10
+
+
 def holder_quotient(traj: Trajectory, exponent: float, norm: str = "L2") -> HolderReport:
     """Sup over snapshot pairs of |u(t)-u(s)|_norm / |t-s|^exponent."""
     if not 0.0 < exponent < 1.0:
@@ -449,8 +481,8 @@ def holder_quotient(traj: Trajectory, exponent: float, norm: str = "L2") -> Hold
     if norm not in ("L2", "Linf"):
         raise ValueError(f"norm must be 'L2' or 'Linf', got {norm!r}")
     n = len(traj.snapshots)
-    if n < 10:
-        raise ValueError(f"at least 10 snapshots required, got {n}")
+    if n < _HOLDER_MIN_SNAPSHOTS:
+        raise ValueError(f"at least {_HOLDER_MIN_SNAPSHOTS} snapshots required, got {n}")
     t = np.asarray(traj.times)
     if norm == "L2":
         flat = np.stack([s.coeffs.ravel() for s in traj.snapshots])

@@ -237,7 +237,9 @@ def _axis_matrices(parity: str, M: int, P: int, L: float) -> tuple[np.ndarray, n
     return synthesis, analysis
 
 
-def _apply_axis(matrix: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
+def _apply_axis(
+    matrix: np.ndarray, arr: np.ndarray, axis: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Contract ``arr`` along ``axis`` with ``matrix`` (n_out x n_in).
 
     Every contraction is a stack of plain 2-D GEMMs on contiguous views:
@@ -245,22 +247,42 @@ def _apply_axis(matrix: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
     last axis, ``rows @ matrix.T`` for each slab of the leading axis.
     OpenBLAS hands a product to its worker threads only above 2**18
     multiply-adds, so per-slab products keep d=2 grids up to N = 32 on the
-    calling thread.
+    calling thread.  ``out``, a flat contiguous array with exactly as many
+    entries as the result and not overlapping ``arr``, receives the
+    product in place of a fresh array.
     """
     arr = np.ascontiguousarray(arr)
     shape = arr.shape
-    n_in = shape[axis]
+    n_in, n_out = shape[axis], matrix.shape[0]
     if axis < arr.ndim - 1:
-        out = np.matmul(matrix, arr.reshape(math.prod(shape[:axis]), n_in, -1))
+        lead = math.prod(shape[:axis])
+        a, b, stacked = matrix, arr.reshape(lead, n_in, -1), (lead, n_out, -1)
     elif arr.ndim < 3:
-        out = arr.reshape(-1, n_in) @ matrix.T
+        a, b, stacked = arr.reshape(-1, n_in), matrix.T, (-1, n_out)
     else:
-        out = np.matmul(arr.reshape(shape[0], -1, n_in), matrix.T)
-    return out.reshape(shape[:axis] + (matrix.shape[0],) + shape[axis + 1 :])
+        a, b, stacked = arr.reshape(shape[0], -1, n_in), matrix.T, (shape[0], -1, n_out)
+    result = np.matmul(a, b, out=None if out is None else out.reshape(stacked))
+    return result.reshape(shape[:axis] + (n_out,) + shape[axis + 1 :])
 
 
 def _along(axis: int, index: slice) -> tuple[slice, ...]:
     return (slice(None),) * axis + (index,)
+
+
+def _series_work(
+    components: int, modes: tuple[int, ...], points: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """A pair of flat buffers with room for every pass of :func:`_eval_series`.
+
+    Evaluating a ``(components, *modes)`` array on ``points`` takes one
+    pass per axis, last axis first; pass n writes buffer n % 2, so each
+    buffer is sized for the largest pass that writes it.
+    """
+    sizes = [
+        components * math.prod(modes[:j]) * math.prod(points[j:])
+        for j in reversed(range(len(modes)))
+    ]
+    return tuple(np.empty(max(sizes[k::2], default=0)) for k in (0, 1))
 
 
 def _eval_series(
@@ -268,21 +290,26 @@ def _eval_series(
     extents: tuple[float, ...],
     parities: tuple[str, ...],
     out_points: tuple[int, ...],
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Evaluate a frequency-indexed coefficient array on a midpoint grid.
 
     Axes go last first, so the earlier passes run on the still-truncated
-    slab.
+    slab.  With ``work`` (see :func:`_series_work`; it must not overlap
+    ``coeffs``) the matrix passes write into its two buffers in turn
+    instead of fresh arrays, so the result may be a view into ``work``
+    that the next call with the same pair overwrites.
     """
     lead = coeffs.ndim - len(extents)  # leading (component) axes pass through untouched
     arr = coeffs
-    for j in reversed(range(len(extents))):
+    for n, j in enumerate(reversed(range(len(extents)))):
         axis, M, P = lead + j, coeffs.shape[lead + j], out_points[j]
         if M > P:
             raise ValueError(f"cannot evaluate {M} modes on {P} points along axis {j}")
         if P <= _MATRIX_MAX_POINTS:
             synthesis, _ = _axis_matrices(parities[j], M, P, extents[j])
-            arr = _apply_axis(synthesis, arr, axis)
+            out = None if work is None else work[n % 2][: arr.size // M * P]
+            arr = _apply_axis(synthesis, arr, axis, out)
         else:
             # pocketfft zero-pads to n=P; the sine k=0 slot is dropped
             shift = int(parities[j] == "sin")

@@ -220,6 +220,19 @@ class Trajectory:
         return self.snapshots[-1]
 
 
+def _step_plan(policy: IntegratorPolicy) -> tuple[int, float]:
+    """Full steps of ``policy.dt`` to ``policy.t_end`` and the length of a
+    shorter closing step (0 when t_end is a step multiple to 1e-12)."""
+    n_full, remainder = divmod(policy.t_end, policy.dt)
+    n_full = int(n_full)
+    if remainder <= 1e-12 * max(policy.dt, policy.t_end):
+        remainder = 0.0
+    elif policy.dt - remainder <= 1e-12 * max(policy.dt, policy.t_end):
+        n_full += 1
+        remainder = 0.0
+    return n_full, remainder
+
+
 def integrate(
     u0: fields.VectorField | SpectralField,
     params: LLBarParams,
@@ -247,13 +260,7 @@ def integrate(
         band = ModeBand(s.modes)
     s = galerkin.project(s, band)
 
-    n_full, remainder = divmod(policy.t_end, policy.dt)
-    n_full = int(n_full)
-    if remainder <= 1e-12 * max(policy.dt, policy.t_end):
-        remainder = 0.0
-    elif policy.dt - remainder <= 1e-12 * max(policy.dt, policy.t_end):
-        n_full += 1
-        remainder = 0.0
+    n_full, remainder = _step_plan(policy)
     total = n_full + (1 if remainder else 0)
     if total > policy.max_steps:
         raise ValueError(

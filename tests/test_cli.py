@@ -8,7 +8,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from llbar import cli, config, diagnostics, fields
+from llbar import cli, config, diagnostics, fields, stepping
 from llbar.config import ConfigError, InitialSpec, build_initial, parse_config
 from llbar.fields import GridSpec
 from llbar.galerkin import LLBarParams, ModeBand
@@ -247,6 +247,7 @@ def test_run_off_cadence_final_record(tmp_path):
         (["holder", "--amplitude", "0"], 2, "--amplitude"),
         (["depend", "--amplitude", "1e7", "--tend", "0.002"], 3, "blow-up threshold"),
         (["run", "{overflow}"], 2, "[grid] points"),
+        (["verify-identities", "--count", "0"], 2, "--count"),
     ],
 )
 def test_error_paths_print_one_line(tmp_path, capsys, argv, code, detail):
@@ -256,6 +257,25 @@ def test_error_paths_print_one_line(tmp_path, capsys, argv, code, detail):
     err = capsys.readouterr().err
     label = {2: "config-error", 3: "blowup"}[code]
     assert err.startswith(f"llbar: {label}: ") and detail in err, err
+    assert err.count("\n") == 1, "diagnostics must land on a single line"
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["holder", "--exponent", "1.5"], "--exponent"),
+        (["holder", "--tend", "0.017"], "at least 10 snapshots"),
+    ],
+)
+def test_holder_rejects_bad_input_before_integrating(monkeypatch, capsys, argv, detail):
+    # 18 snapshots at --tend 0.017 leave 9 after halving the density
+    def refuse(*args, **kwargs):
+        raise AssertionError("holder integrated before checking its input")
+
+    monkeypatch.setattr(stepping, "integrate", refuse)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("llbar: config-error: ") and detail in err, err
     assert err.count("\n") == 1, "diagnostics must land on a single line"
 
 

@@ -8,6 +8,7 @@ columns are certified against paper arithmetic, not a second code path.
 from __future__ import annotations
 
 import math
+import resource
 
 import numpy as np
 import pytest
@@ -58,6 +59,89 @@ def test_single_mode_norm_suite_closed_form():
     # u . Du = -2 pi^2 cos^2, |u||Du| likewise
     assert n.uDotDeltaU == pytest.approx(math.pi**2 * math.sqrt(1.5), rel=1e-12)
     assert n.absUabsDeltaU == pytest.approx(math.pi**2 * math.sqrt(1.5), rel=1e-12)
+
+
+def _closed_form_samples(coeffs, grid, orders, points):
+    """d^orders of a cosine series at the midpoints, summed from the basis formula."""
+    out = coeffs
+    for j, (L, P, m) in enumerate(zip(grid.extents, points, orders)):
+        k = np.arange(coeffs.shape[1 + j])
+        x = (np.arange(P) + 0.5) * L / P
+        scale = np.where(k == 0, np.sqrt(1.0 / L), np.sqrt(2.0 / L)) * (k * np.pi / L) ** m
+        phase = np.outer(x, k * np.pi / L) + m * np.pi / 2  # d/dx cos = cos(. + pi/2)
+        out = np.tensordot(out, np.cos(phase) * scale, axes=(1, 1))  # axis j -> last
+    return out
+
+
+@pytest.mark.parametrize(
+    "extents, points, modes",
+    [
+        ((1.0,), (12,), (12,)),
+        ((1.3,), (12,), (7,)),
+        ((1.0, 0.8), (10, 8), (10, 8)),
+        ((1.0, 0.8), (10, 8), (6, 5)),
+        ((1.0, 0.8, 1.2), (8, 6, 8), (8, 6, 8)),
+        ((1.0, 0.8, 1.2), (8, 6, 8), (5, 4, 3)),
+    ],
+)
+def test_norm_suite_matches_whole_array_formulas(extents, points, modes):
+    # every reading again, from the full Jacobian and whole-array numpy on
+    # the padded grid, with samples summed from the closed-form basis
+    grid = GridSpec(extents=extents, points=points)
+    dim, pts = grid.dim, grid.padded_points
+    s = fields.random_field(grid, modes, seed=11, decay=2.0, amplitude=0.9)
+    lam = sum(
+        np.reshape((np.arange(M) * np.pi / L) ** 2, [-1 if a == j else 1 for a in range(dim)])
+        for j, (M, L) in enumerate(zip(modes, extents))
+    )
+    unit = (0,) * dim
+    axis = [tuple(int(a == j) for a in range(dim)) for j in range(dim)]
+
+    def samples(m, orders=unit):  # d^orders Lap^m u
+        return _closed_form_samples((-lam) ** m * s.coeffs, grid, orders, pts)
+
+    def jacobian(m):  # grad Lap^m u, shape (3, dim, *pts)
+        return np.stack([samples(m, orders) for orders in axis], axis=1)
+
+    vol = np.prod([L / P for L, P in zip(extents, pts)])
+    u, lap, jac = samples(0), samples(1), jacobian(0)
+    mag2 = (u**2).sum(axis=0)
+    expected = dict(
+        L2=np.sqrt(mag2.sum() * vol),
+        L4=(mag2**2).sum() ** 0.25 * vol**0.25,
+        L6=(mag2**3).sum() ** (1 / 6) * vol ** (1 / 6),
+        Linf=np.sqrt(mag2.max()),
+        gradL2=np.sqrt((jac**2).sum() * vol),
+        deltaL2=np.sqrt((lap**2).sum() * vol),
+        gradDeltaL2=np.sqrt((jacobian(1) ** 2).sum() * vol),
+        delta2L2=np.sqrt((samples(2) ** 2).sum() * vol),
+        gradDelta2L2=np.sqrt((jacobian(2) ** 2).sum() * vol),
+        uDotGradU=np.sqrt((np.einsum("c...,cj...->j...", u, jac) ** 2).sum() * vol),
+        absUabsGradU=np.sqrt((mag2 * (jac**2).sum(axis=(0, 1))).sum() * vol),
+        uDotDeltaU=np.sqrt(((u * lap).sum(axis=0) ** 2).sum() * vol),
+        absUabsDeltaU=np.sqrt((mag2 * (lap**2).sum(axis=0)).sum() * vol),
+    )
+    suite = diagnostics.norms(s, t=0.5)
+    for name, value in expected.items():
+        assert getattr(suite, name) == pytest.approx(value, rel=1e-13, abs=0.0), name
+    # the work buffers are shared per (grid, modes): another field in
+    # between must leave no trace in the next suite of the first
+    other = fields.random_field(grid, modes, seed=12, decay=0.0, amplitude=3.0)
+    assert diagnostics.norms(other, t=0.5) != suite
+    assert diagnostics.norms(s, t=0.5) == suite
+
+
+def test_norm_suite_reuses_its_buffers():
+    # fresh padded-grid arrays cost first-touch page faults (about 2,000
+    # per call here); the suite writes into buffers reused from call to call
+    grid = GridSpec(extents=(1.0, 0.8, 1.2), points=(16, 16, 16))
+    s = fields.random_field(grid, (8, 8, 8), seed=1, decay=4.0, amplitude=0.8)
+    diagnostics.norms(s)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        diagnostics.norms(s)
+    per_call = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20
+    assert per_call < 100, f"{per_call} minor page faults per norms call"
 
 
 def test_norm_suite_rejects_inconsistent_entries():
