@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -112,25 +111,6 @@ class NormSuite:
         return ",".join(f"{c:.17g}" for c in cells)
 
 
-@lru_cache(maxsize=2)
-def _norm_buffers(grid: fields.GridSpec, modes: tuple[int, ...]) -> tuple:
-    """Work buffers of :func:`norms` for one (grid, modes).
-
-    They are overwritten by every call and never leave :func:`norms`,
-    which reduces them to scalars before it returns.  An entry holds up
-    to 20 doubles per padded node (4.3 MiB for an 8^3 band on a 32^3
-    padded grid), so the cache keeps only two.  Two threads calling
-    :func:`norms` at once on one (grid, modes) would share them.
-    """
-    points = grid.padded_points
-    return (
-        np.empty((6,) + modes),  # coefficients of u and Lap u
-        fields._series_work(6, modes, points),  # synthesis of u and Lap u
-        fields._series_work(3, modes, points),  # synthesis of one d_j u
-        np.empty((6, math.prod(points))),  # node vectors
-    )
-
-
 def norms(u: SpectralField, t: float = 0.0) -> NormSuite:
     """Full norm suite of a snapshot.
 
@@ -138,7 +118,8 @@ def norms(u: SpectralField, t: float = 0.0) -> NormSuite:
     pointwise products is integrated on the oversampled grid.  One
     synthesis evaluates u and Lap u together, the Jacobian comes one
     column at a time, and every pointwise quantity is reduced into a few
-    node vectors, all in buffers reused from call to call.
+    node vectors, all in the work set that ``fields._padded_work`` caches
+    per (grid, modes) for this and ``galerkin.nonlinear_term``.
     """
     lam = u.eigenvalues
     c2 = (u.coeffs**2).sum(axis=0)
@@ -147,8 +128,8 @@ def norms(u: SpectralField, t: float = 0.0) -> NormSuite:
     grid = u.grid
     extents, points, dim = grid.extents, grid.padded_points, grid.dim
     vol = math.prod(L / P for L, P in zip(extents, points))
-    stack, values_work, column_work, nodes = _norm_buffers(grid, u.modes)
-    mag2, lap_dot, lap2, grad2, u_dot_grad2, tmp = nodes
+    stack, values_work, column_work, nodes = fields._padded_work(grid, u.modes)
+    mag2, lap_dot, lap2, grad2, u_dot_grad2, tmp = nodes[:6]
     stack[:3] = u.coeffs
     np.multiply(u.coeffs, -lam[None], out=stack[3:])
     both = fields._eval_series(stack, extents, ("cos",) * dim, points, values_work)

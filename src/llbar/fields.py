@@ -269,20 +269,67 @@ def _along(axis: int, index: slice) -> tuple[slice, ...]:
     return (slice(None),) * axis + (index,)
 
 
+_PAGE_BYTES = 4096
+
+
+def _page_aligned(size: int) -> np.ndarray:
+    """An uninitialised flat float64 buffer that starts on a 4 KiB page.
+
+    The pointwise passes over work buffers read some and write others.
+    A written row that starts a few bytes past a read row, modulo 4 KiB,
+    makes each load wait on the store just before it whose low address
+    bits it matches (4K aliasing).  Where heap placement put the buffers
+    so, the pointwise products of the d=2 nonlinear term ran up to 1.5
+    times slower on a 2-vCPU Xeon.  On page-aligned buffers rows of equal index share
+    their offset, and where a row holds a multiple of 512 nodes (any
+    power-of-two padded grid of at least 512 nodes) all rows fill whole
+    pages, so no such pair arises.
+    """
+    raw = np.empty(size + _PAGE_BYTES // 8)
+    start = -raw.ctypes.data % _PAGE_BYTES // 8
+    return raw[start : start + size]
+
+
 def _series_work(
     components: int, modes: tuple[int, ...], points: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A pair of flat buffers with room for every pass of :func:`_eval_series`.
+    """A pair of flat buffers with room for every pass of either series loop.
 
     Evaluating a ``(components, *modes)`` array on ``points`` takes one
     pass per axis, last axis first; pass n writes buffer n % 2, so each
-    buffer is sized for the largest pass that writes it.
+    buffer is sized for the largest pass that writes it.  Projecting
+    back with :func:`_transform_series` (first axis first) fits in the
+    same pair: with modes <= points, its pass n is never larger than
+    the evaluation pass n that writes the same buffer.
     """
     sizes = [
         components * math.prod(modes[:j]) * math.prod(points[j:])
         for j in reversed(range(len(modes)))
     ]
-    return tuple(np.empty(max(sizes[k::2], default=0)) for k in (0, 1))
+    return tuple(_page_aligned(max(sizes[k::2], default=0)) for k in (0, 1))
+
+
+@lru_cache(maxsize=2)
+def _padded_work(grid: GridSpec, modes: tuple[int, ...]) -> tuple:
+    """Padded-grid work set for one (grid, modes), shared by its two users.
+
+    ``diagnostics.norms`` and ``galerkin.nonlinear_term`` draw every
+    padded-grid array from it.  Neither calls the other, and each
+    reduces what it needs to scalars or fresh arrays before it returns,
+    so nothing a caller holds points into the set; the next call simply
+    overwrites it.  With the default padding an entry holds at most
+    about 22 doubles per padded node (4.8 MiB for an 8^3 band on a 32^3
+    padded grid), so the cache keeps only two.  The set is not
+    thread-safe: two threads evaluating on one (grid, modes) at once
+    would overwrite each other's arrays.
+    """
+    points = grid.padded_points
+    return (
+        np.empty((6,) + modes),  # coefficients of u and Lap u
+        _series_work(6, modes, points),  # u and Lap u; projection of 6 products
+        _series_work(3, modes, points),  # one Jacobian column d_j u
+        _page_aligned(8 * math.prod(points)).reshape(8, -1),  # node vectors
+    )
 
 
 def _eval_series(
@@ -298,7 +345,8 @@ def _eval_series(
     slab.  With ``work`` (see :func:`_series_work`; it must not overlap
     ``coeffs``) the matrix passes write into its two buffers in turn
     instead of fresh arrays, so the result may be a view into ``work``
-    that the next call with the same pair overwrites.
+    that the next call with the same pair overwrites.  Pocketfft passes
+    (axes longer than _MATRIX_MAX_POINTS) leave ``work`` unused.
     """
     lead = coeffs.ndim - len(extents)  # leading (component) axes pass through untouched
     arr = coeffs
@@ -326,11 +374,15 @@ def _transform_series(
     extents: tuple[float, ...],
     parities: tuple[str, ...],
     modes: tuple[int, ...],
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Project midpoint-grid samples onto frequency-indexed coefficients.
 
     Each axis is truncated as soon as it is transformed, so the later
-    passes work on the reduced slab.
+    passes work on the reduced slab.  ``work`` works as in
+    :func:`_eval_series` (it must not overlap ``values``): the matrix
+    passes write into its two buffers in turn, and the result may be a
+    view into it.
     """
     lead = values.ndim - len(extents)
     arr = values
@@ -338,7 +390,8 @@ def _transform_series(
         axis, M, P = lead + j, modes[j], values.shape[lead + j]
         if P <= _MATRIX_MAX_POINTS:
             _, analysis = _axis_matrices(parities[j], M, P, extents[j])
-            arr = _apply_axis(analysis, arr, axis)
+            out = None if work is None else work[j % 2][: arr.size // P * M]
+            arr = _apply_axis(analysis, arr, axis, out)
         else:
             # keep the first M frequencies; DST index k-1 holds sine frequency k
             shift = int(parities[j] == "sin")

@@ -251,30 +251,31 @@ def nonlinear_term(
     column), which steppers use for blow-up checks at no extra transform
     cost.  One evaluation pass serves ``v`` and ``Lap v``; one
     analysis pass serves the cubic and cross products, with the f5 term
-    folded in as ``-lambda(k)`` times the cubic coefficients.
+    folded in as ``-lambda(k)`` times the cubic coefficients.  Every
+    padded-grid array comes from the work set that
+    ``fields._padded_work`` caches per (grid, modes); the returned
+    coefficients are fresh.
     """
     grid = v.grid
+    extents, points, all_cos = grid.extents, grid.padded_points, ("cos",) * grid.dim
     lam = fields.eigenvalue_array(grid, v.modes)
-    stacked = np.empty((6,) + v.modes)
+    stacked, series_work, _, nodes = fields._padded_work(grid, v.modes)
     stacked[:3] = v.coeffs
     np.multiply(v.coeffs, -lam[None], out=stacked[3:])
-    vals = fields._eval_series(
-        stacked, grid.extents, ("cos",) * grid.dim, grid.padded_points
-    )
-    u_vals, lap_vals = vals[:3], vals[3:]
-    work = np.empty_like(vals)
-    tmp = np.empty_like(vals[0])  # one scratch slab for every product term
-    norm2 = u_vals[0] * u_vals[0]
+    vals = fields._eval_series(stacked, extents, all_cos, points, series_work)
+    u_vals, lap_vals = np.split(vals.reshape(6, -1), 2)
+    products, norm2, tmp = nodes[:6], nodes[6], nodes[7]
+    np.multiply(u_vals[0], u_vals[0], out=norm2)
     for c in (1, 2):
         norm2 += np.multiply(u_vals[c], u_vals[c], out=tmp)
     linf = float(np.sqrt(norm2.max()))
-    np.multiply(u_vals, norm2[None], out=work[:3])
+    np.multiply(u_vals, norm2[None], out=products[:3])
     # cross product written out to skip np.cross's axis shuffling
     for i, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
-        np.multiply(u_vals[a], lap_vals[b], out=work[3 + i])
-        work[3 + i] -= np.multiply(u_vals[b], lap_vals[a], out=tmp)
+        np.multiply(u_vals[a], lap_vals[b], out=products[3 + i])
+        products[3 + i] -= np.multiply(u_vals[b], lap_vals[a], out=tmp)
     analysis = fields._transform_series(
-        work, grid.extents, ("cos",) * grid.dim, v.modes
+        products.reshape((6,) + points), extents, all_cos, v.modes, series_work
     )
     c3, c4 = analysis[:3], analysis[3:]
     coeffs = (

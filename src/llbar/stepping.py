@@ -75,7 +75,9 @@ class IntegratorPolicy:
     """Scheme selection and step control.
 
     ``t_end = 0`` is allowed and yields a trajectory holding only the
-    initial snapshot.
+    initial snapshot.  A horizon that needs more than ``max_steps`` steps
+    of ``dt`` (counting a shorter closing step) is rejected here, before
+    anything is integrated.
     """
 
     dt: float
@@ -98,6 +100,16 @@ class IntegratorPolicy:
         if not (np.isfinite(self.blowup_threshold) and self.blowup_threshold > 0.0):
             raise ValueError(
                 f"blowup_threshold must be positive, got {self.blowup_threshold}"
+            )
+        try:
+            n_full, remainder = _step_plan(self)
+        except OverflowError:  # t_end / dt beyond the float range
+            n_full, remainder = float("inf"), 0.0
+        total = n_full + (1 if remainder else 0)
+        if total > self.max_steps:
+            raise ValueError(
+                f"{total} steps needed to reach t_end={self.t_end} "
+                f"exceed max_steps={self.max_steps}"
             )
 
 
@@ -262,11 +274,6 @@ def integrate(
 
     n_full, remainder = _step_plan(policy)
     total = n_full + (1 if remainder else 0)
-    if total > policy.max_steps:
-        raise ValueError(
-            f"{total} steps needed to reach t_end={policy.t_end} "
-            f"exceed max_steps={policy.max_steps}"
-        )
 
     traj = Trajectory(grid=s.grid, band=band, params=params, policy=policy)
 

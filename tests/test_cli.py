@@ -170,8 +170,8 @@ def test_build_initial_normalize_linf():
         build_initial(zero, grid, ModeBand((16,)))
 
 
-def write_config(tmp_path, text):
-    path = tmp_path / "run.ini"
+def write_config(tmp_path, text, name="run.ini"):
+    path = tmp_path / name
     path.write_text(text)
     return str(path)
 
@@ -248,11 +248,14 @@ def test_run_off_cadence_final_record(tmp_path):
         (["depend", "--amplitude", "1e7", "--tend", "0.002"], 3, "blow-up threshold"),
         (["run", "{overflow}"], 2, "[grid] points"),
         (["verify-identities", "--count", "0"], 2, "--count"),
+        (["holder", "--tend", "1001"], 2, "max_steps"),
+        (["run", "{long}"], 2, "max_steps"),
     ],
 )
 def test_error_paths_print_one_line(tmp_path, capsys, argv, code, detail):
     overflow = write_config(tmp_path, GOOD.replace("points = 8", "points = 1e400"))
-    argv = [arg.format(overflow=overflow) for arg in argv]
+    long = write_config(tmp_path, GOOD.replace("t_end = 0.01", "t_end = 1001"), "long.ini")
+    argv = [arg.format(overflow=overflow, long=long) for arg in argv]
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     label = {2: "config-error", 3: "blowup"}[code]

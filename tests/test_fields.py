@@ -225,10 +225,10 @@ def test_matrix_and_pocketfft_paths_agree(monkeypatch, extents, modes, points):
             work = fields._series_work(3, modes, points)
             reused = fields._eval_series(coeffs, extents, parities, points, work)
             assert np.array_equal(reused, synthesis), parities
-            return (
-                synthesis,
-                fields._transform_series(values, extents, parities, modes),
-            )
+            analysis = fields._transform_series(values, extents, parities, modes)
+            reused = fields._transform_series(values, extents, parities, modes, work)
+            assert reused.tobytes() == analysis.tobytes(), parities
+            return synthesis, analysis
 
         default = transforms()
         monkeypatch.setattr(fields, "_MATRIX_MAX_POINTS", 0)
@@ -251,6 +251,19 @@ def test_matrix_and_pocketfft_paths_agree(monkeypatch, extents, modes, points):
             if parity == "sin":
                 assert np.all(np.take(analysis, 0, axis=1 + j) == 0.0), parities
 
+
+
+def test_padded_work_starts_on_pages():
+    # every padded-grid work buffer starts a 4 KiB page, so rows of equal
+    # index in different buffers share their page offset (no 4K aliasing
+    # between the read and written rows of the pointwise passes)
+    grid = GridSpec(extents=(1.0, 0.8), points=(32, 32))
+    stack, synthesis, column, nodes = fields._padded_work(grid, (20, 32))
+    for buffer in (*synthesis, *column, nodes):
+        assert buffer.ctypes.data % 4096 == 0
+        assert buffer.flags["C_CONTIGUOUS"]
+    assert nodes.shape == (8, 64 * 64)
+    assert stack.shape == (6, 20, 32)
 
 _THREAD_PROBE = """
 import hashlib

@@ -7,10 +7,12 @@ the split ``rhs = linear multiplier + remainder`` used by the stepper.
 
 from __future__ import annotations
 
+import resource
+
 import numpy as np
 import pytest
 
-from llbar import fields, galerkin, operators
+from llbar import diagnostics, fields, galerkin, operators
 from llbar.fields import GridSpec, SpectralField
 from llbar.galerkin import LLBarParams, ModeBand
 
@@ -200,3 +202,45 @@ def test_rhs_zero_on_unit_constant():
     assert np.abs(r.coeffs).max() < 1e-14, (
         f"equilibrium residual {np.abs(r.coeffs).max()}"
     )
+
+
+def test_nonlinear_term_reuses_its_buffers():
+    # fresh padded-grid arrays cost first-touch page faults (hundreds per
+    # call here); the remainder is evaluated in a cached work set
+    grid = GridSpec(extents=(1.0, 0.8, 1.2), points=(16, 16, 16))
+    s = fields.random_field(grid, (8, 8, 8), seed=1, decay=4.0, amplitude=0.8)
+    galerkin.nonlinear_term(s, PARAMS)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        galerkin.nonlinear_term(s, PARAMS)
+    per_call = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20
+    assert per_call < 100, f"{per_call} minor page faults per nonlinear_term call"
+
+
+@pytest.mark.parametrize(
+    "extents, points, modes",
+    [
+        ((1.0, 0.8, 1.2), (16, 16, 16), (8, 8, 8)),
+        ((1.0, 0.7), (12, 150), (12, 90)),  # a 300-point padded pocketfft axis
+    ],
+)
+def test_nonlinear_term_results_do_not_alias_the_work_set(extents, points, modes):
+    # nonlinear_term and norms share one work set per (grid, modes); what
+    # either returns must survive later calls on other fields
+    grid = GridSpec(extents=extents, points=points)
+    a = fields.random_field(grid, modes, seed=2, decay=4.0, amplitude=0.8)
+    b = fields.random_field(grid, modes, seed=3, decay=4.0, amplitude=0.8)
+    na, linf_a = galerkin.nonlinear_term(a, PARAMS)
+    kept = na.coeffs.copy()
+    diagnostics.norms(b)
+    nb, _ = galerkin.nonlinear_term(b, PARAMS)
+    diagnostics.norms(a)
+    assert np.array_equal(na.coeffs, kept)
+    assert not np.array_equal(nb.coeffs, kept)
+    stack, synthesis, column, nodes = fields._padded_work(grid, modes)
+    for buffer in (stack, *synthesis, *column, nodes):
+        assert not np.shares_memory(na.coeffs, buffer)
+    fields._padded_work.cache_clear()
+    fresh, linf_fresh = galerkin.nonlinear_term(a, PARAMS)
+    assert fresh.coeffs.tobytes() == kept.tobytes()
+    assert linf_fresh == linf_a

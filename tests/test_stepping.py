@@ -195,8 +195,17 @@ def test_monitor_sees_every_record():
 
 
 def test_max_steps_guard():
+    # the policy itself refuses a horizon beyond max_steps, so no caller
+    # can start an integration it cannot finish
     grid = GridSpec(extents=(1.0,), points=(8,))
     u0 = fields.random_field(grid, (8,), seed=6)
-    policy = IntegratorPolicy(dt=1e-6, t_end=1.0, max_steps=1000)
     with pytest.raises(ValueError, match="max_steps"):
-        stepping.integrate(u0, PARAMS, policy)
+        IntegratorPolicy(dt=1e-6, t_end=1.0, max_steps=1000)
+    with pytest.raises(ValueError, match="max_steps"):
+        IntegratorPolicy(dt=1e-300, t_end=1e300)  # t_end / dt overflows
+    # exactly max_steps steps, the last one a shorter closing step, is fine
+    policy = IntegratorPolicy(dt=1e-4, t_end=3.5e-4, max_steps=4)
+    traj = stepping.integrate(u0, PARAMS, policy)
+    assert traj.times[-1] == 3.5e-4 and not traj.aborted
+    with pytest.raises(ValueError, match="max_steps"):
+        IntegratorPolicy(dt=1e-4, t_end=3.5e-4, max_steps=3)
