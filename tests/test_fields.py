@@ -252,7 +252,6 @@ def test_matrix_and_pocketfft_paths_agree(monkeypatch, extents, modes, points):
                 assert np.all(np.take(analysis, 0, axis=1 + j) == 0.0), parities
 
 
-
 def test_padded_work_starts_on_pages():
     # every padded-grid work buffer starts a 4 KiB page, so rows of equal
     # index in different buffers share their page offset (no 4K aliasing
@@ -264,6 +263,7 @@ def test_padded_work_starts_on_pages():
         assert buffer.flags["C_CONTIGUOUS"]
     assert nodes.shape == (8, 64 * 64)
     assert stack.shape == (6, 20, 32)
+
 
 _THREAD_PROBE = """
 import hashlib
