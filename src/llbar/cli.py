@@ -22,6 +22,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -235,20 +236,16 @@ def _cmd_verify_inequalities(args: argparse.Namespace) -> int:
         spec = SampleSpec(seed=args.seed, count=args.count, band=band)
     except ValueError as err:
         raise ConfigError([f"--count: {err}"]) from err
-    reports = []
-    reports += inequalities.check_interp(grid, spec)
-    reports += inequalities.check_elliptic(grid, spec)
-    reports.append(inequalities.check_product_hs(grid, spec, s=grid.dim // 2 + 1))
-    for k in (0, 1, 2):
-        reports.append(inequalities.check_cubic_lipschitz(grid, spec, k))
-    for k in (0, 1, 2):
-        reports.append(inequalities.check_cross_diff(grid, spec, k))
-    for d, q, r, s1, s2 in _GN_TABLE:
-        if d == grid.dim:
-            reports.append(inequalities.gn_check(grid, spec, r, q, s1, s2))
-    print(inequalities.summarize(reports))
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
+    catalogue = inequalities.Catalogue(
+        interp=True, elliptic=True, product_s=grid.dim // 2 + 1,
+        cubic_ks=(0, 1, 2), cross_ks=(0, 1, 2),
+        gn=tuple((r, q, s1, s2) for d, q, r, s1, s2 in _GN_TABLE if d == grid.dim),
+    )
+    # open the report before sampling: a bad path fails before the work
+    with open(args.output, "w", newline="") if args.output else nullcontext() as fh:
+        reports = inequalities.check_catalogue(grid, spec, catalogue)
+        print(inequalities.summarize(reports))
+        if fh is not None:
             fh.write(inequalities.reports_to_csv(reports))
     bad = [r for r in reports if r.violations > 0]
     if bad:

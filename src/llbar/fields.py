@@ -520,8 +520,8 @@ def write_snapshot(path, u: VectorField) -> None:
     header += struct.pack("<II", SNAPSHOT_VERSION, grid.dim)
     header += struct.pack(f"<{grid.dim}I", *grid.points)
     header += struct.pack(f"<{grid.dim}d", *grid.extents)
-    # node-major, component innermost
-    body = np.ascontiguousarray(np.moveaxis(u.data, 0, -1), dtype="<f8").tobytes()
+    # node-major, component innermost; written through the buffer protocol
+    body = np.ascontiguousarray(np.moveaxis(u.data, 0, -1), dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(body)

@@ -135,8 +135,8 @@ def test_criterion_04_interpolation_pair_on_thousand_draws():
     for mode in ((1, 0), (2, 3), (0, 5)):
         coeffs = np.zeros((3, 16, 16))
         coeffs[(1, *mode)] = 0.8
-        r3, r4 = inequalities.interp_ratios(
-            SpectralField(grid=grid2, modes=(16, 16), coeffs=coeffs)
+        (r3,), (r4,) = inequalities.catalogue_ratios(
+            grid2, inequalities.Catalogue(interp=True), coeffs[None]
         )
         eq_gap = max(eq_gap, abs(r3 - 1.0), abs(r4 - 1.0))
     assert eq_gap <= 1e-12, f"eigenmode equality off by {eq_gap:.3e}"

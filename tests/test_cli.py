@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from llbar import cli, config, diagnostics, fields, stepping
+from llbar import cli, config, diagnostics, fields, inequalities, stepping
 from llbar.config import ConfigError, InitialSpec, build_initial, parse_config
 from llbar.fields import GridSpec
 from llbar.galerkin import LLBarParams, ModeBand
@@ -280,6 +284,34 @@ def test_holder_rejects_bad_input_before_integrating(monkeypatch, capsys, argv, 
     err = capsys.readouterr().err
     assert err.startswith("llbar: config-error: ") and detail in err, err
     assert err.count("\n") == 1, "diagnostics must land on a single line"
+
+
+@pytest.mark.parametrize("where", ["missing/report.csv", "."])
+def test_verify_inequalities_checks_output_before_sampling(
+    tmp_path, monkeypatch, capsys, where
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify-inequalities sampled before checking --output")
+
+    monkeypatch.setattr(inequalities, "check_catalogue", refuse)
+    argv = ["verify-inequalities", "--count", "2", "--output", str(tmp_path / where)]
+    assert cli.main(argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("llbar: io-error: "), captured.err
+    assert captured.err.count("\n") == 1, "diagnostics must land on a single line"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "llbar", "verify-identities", "--count", "1"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.count(" ok") == 5, run.stdout
 
 
 def test_run_config_error_exit(tmp_path, capsys):

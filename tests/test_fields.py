@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -179,6 +180,19 @@ def test_snapshot_roundtrip_is_byte_identical(tmp_path):
     np.testing.assert_array_equal(v.data, u.data)
     fields.write_snapshot(p2, v)
     assert p1.read_bytes() == p2.read_bytes(), "write-read-write changed bytes"
+
+
+@pytest.mark.parametrize("points", [(8,), (8, 6), (4, 6, 5)])
+def test_snapshot_bytes_follow_the_file_format(tmp_path, points):
+    extents = (1.0, 0.75, 1.25)[: len(points)]
+    grid = GridSpec(extents=extents, points=points)
+    u = fields.inverse(fields.random_field(grid, points, seed=5))
+    path = tmp_path / "x.snap"
+    fields.write_snapshot(path, u)
+    dim = len(points)
+    header = b"LLBR" + struct.pack(f"<II{dim}I{dim}d", 1, dim, *points, *extents)
+    body = np.ascontiguousarray(np.moveaxis(u.data, 0, -1), dtype="<f8").tobytes()
+    assert path.read_bytes() == header + body
 
 
 def test_snapshot_rejects_corruption(tmp_path):

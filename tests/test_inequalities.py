@@ -9,15 +9,16 @@ constant-1 families never exceed 1.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from llbar import fields, inequalities
-from llbar.fields import GridSpec, SpectralField
+from llbar import inequalities
+from llbar.fields import GridSpec
 from llbar.galerkin import ModeBand
-from llbar.inequalities import SampleSpec
+from llbar.inequalities import Catalogue, SampleSpec
 
 
 def spec_for(band, seed=3, count=8, **kw):
@@ -83,8 +84,9 @@ def test_interp_ratios_are_exactly_one_on_eigenmodes():
     grid = GridSpec(extents=(1.0, 0.7), points=(8, 8))
     coeffs = np.zeros((3, 8, 8))
     coeffs[1, 2, 3] = 0.9
-    v = SpectralField(grid=grid, modes=(8, 8), coeffs=coeffs)
-    r3, r4 = inequalities.interp_ratios(v)
+    (r3,), (r4,) = inequalities.catalogue_ratios(
+        grid, Catalogue(interp=True), coeffs[None]
+    )
     assert abs(r3 - 1.0) < 1e-12, f"eq3 off equality: {r3}"
     assert abs(r4 - 1.0) < 1e-12, f"eq4 off equality: {r4}"
 
@@ -139,11 +141,7 @@ def test_cubic_lipschitz_k0_stays_below_three_halves():
         assert math.isfinite(rep_k.max_ratio)
         assert rep_k.inequality == f"cubic_lipschitz_k{k}"
     with pytest.raises(ValueError, match="k_order"):
-        inequalities.cubic_lipschitz_ratio(
-            inequalities.draw_sample(grid, spec_for((6, 6)), 0),
-            inequalities.draw_sample(grid, spec_for((6, 6)), 1),
-            3,
-        )
+        inequalities.check_cubic_lipschitz(grid, spec_for((6, 6)), 3)
 
 
 def test_cross_diff_family_never_exceeds_one():
@@ -162,25 +160,13 @@ def test_cross_diff_family_never_exceeds_one():
 def test_ratios_are_scale_invariant():
     grid = GridSpec(extents=(1.0,), points=(16,))
     spec = spec_for((8,), seed=11, count=2)
-    u = inequalities.draw_sample(grid, spec, 0)
-    v = inequalities.draw_sample(grid, spec, 1)
-
-    def scaled(f, c):
-        return SpectralField(grid=grid, modes=f.modes, coeffs=c * f.coeffs)
-
-    base_gn = inequalities.gn_ratio(u, 0, 4.0, 0, 1)
-    base_pr = inequalities.product_hs_ratio(u, v, 1)
-    base_cu = inequalities.cubic_lipschitz_ratio(u, v, 0)
+    pair = np.stack([inequalities.draw_sample(grid, spec, i).coeffs for i in (0, 1)])
+    # eq7 and cubic k=0 on the pair, GN on each of its two draws
+    catalogue = Catalogue(product_s=1, cubic_ks=(0,), gn=((0, 4.0, 0, 1),))
+    base = inequalities.catalogue_ratios(grid, catalogue, pair)
     for c in (0.1, 10.0):
-        assert inequalities.gn_ratio(scaled(u, c), 0, 4.0, 0, 1) == pytest.approx(
-            base_gn, rel=1e-11
-        )
-        assert inequalities.product_hs_ratio(
-            scaled(u, c), scaled(v, c), 1
-        ) == pytest.approx(base_pr, rel=1e-11)
-        assert inequalities.cubic_lipschitz_ratio(
-            scaled(u, c), scaled(v, c), 0
-        ) == pytest.approx(base_cu, rel=1e-11)
+        for got, want in zip(inequalities.catalogue_ratios(grid, catalogue, c * pair), base):
+            assert got == pytest.approx(want, rel=1e-11)
 
 
 def test_gn_check_labels_and_finiteness():
@@ -208,3 +194,222 @@ def test_report_csv_round_trip():
     assert int(seed) == 3
     summary = inequalities.summarize(reports)
     assert "ok" in summary and "VIOLATIONS" not in summary
+
+
+@pytest.mark.parametrize("threshold", [None, 1.0])
+def test_aggregate_counts_every_non_finite_ratio(threshold):
+    spec = spec_for((4,))
+    rep = inequalities._aggregate("x", [0.5, math.nan, 0.2, math.inf], spec, threshold)
+    assert rep.violations == 2
+    assert rep.witness_index == 1 and math.isnan(rep.max_ratio)
+    rep = inequalities._aggregate("x", [0.5, 0.2, math.inf, math.nan], spec, threshold)
+    assert rep.violations == 2 and rep.witness_index == 2
+    clean = inequalities._aggregate("x", [0.5, 0.9, 0.2], spec, threshold)
+    assert clean.violations == 0 and clean.witness_index == 1 and clean.max_ratio == 0.9
+    over = inequalities._aggregate("x", [0.5, 1.2, 0.2], spec, threshold)
+    assert over.violations == (0 if threshold is None else 1)
+
+
+# ---------------------------------------------------------------------------
+# The stacked ensemble against per-draw reference formulas.  The reference
+# evaluates each field on the padded grid from explicit basis matrices and
+# forms every ratio from its definition, one draw or pair at a time.
+# ---------------------------------------------------------------------------
+
+ZERO_CUT = 1e-14  # the degenerate-quotient rule: 0/0 -> 0, x/0 -> inf
+GN_BY_DIM = {  # (r, q, s1, s2) as verify-inequalities runs them
+    1: ((1, 4.0, 0, 3), (1, 4.0, 1, 2)),
+    2: ((0, 4.0, 0, 1), (0, math.inf, 0, 2)),
+    3: ((0, 4.0, 0, 1), (0, 4.0, 0, 2), (0, math.inf, 1, 2)),
+}
+
+
+def full_catalogue(dim):
+    return Catalogue(
+        interp=True, elliptic=True, product_s=dim // 2 + 1,
+        cubic_ks=(0, 1, 2), cross_ks=(0, 1, 2), gn=GN_BY_DIM[dim],
+    )
+
+
+def basis(M, P, L, m):
+    """d^m/dx^m of the first M orthonormal cosines at P midpoints of [0, L]."""
+    x = (np.arange(P) + 0.5) * L / P
+    k = np.arange(M) * np.pi / L
+    norm = np.where(np.arange(M) == 0, np.sqrt(1.0 / L), np.sqrt(2.0 / L))
+    return norm * k**m * np.cos(np.outer(x, k) + m * np.pi / 2)
+
+
+def contract(mats, arr):
+    """Apply one matrix to each trailing axis of a (3, ...) array."""
+    for j, mat in enumerate(mats):
+        arr = np.moveaxis(np.tensordot(mat, arr, axes=(1, 1 + j)), 0, 1 + j)
+    return arr
+
+
+def alphas(dim, order):
+    return [a for a in np.ndindex(*(order + 1,) * dim) if sum(a) == order]
+
+
+def lam_of(grid, modes):
+    """lambda(k) = sum_j (k_j pi / L_j)^2 on a mode box."""
+    axes = np.meshgrid(*(np.arange(M) * np.pi / L for M, L in zip(modes, grid.extents)),
+                       indexing="ij")
+    return sum(k**2 for k in axes)
+
+
+def h_sq(grid, c, s):
+    lam = lam_of(grid, c.shape[1:])
+    return float((sum(lam**j for j in range(s + 1)) * (c**2).sum(axis=0)).sum())
+
+
+def quotient(num, den):
+    return (0.0 if num < ZERO_CUT else math.inf) if den < ZERO_CUT else num / den
+
+
+def theta_of(dim, r, q, s1, s2):
+    if math.isinf(q):
+        return Fraction(2 * (s2 - r) - dim, 2 * (s2 - s1))
+    q = Fraction(q)
+    return (2 * q * (s2 - r) - dim * (q - 2)) / (2 * q * (s2 - s1))
+
+
+def reference_rows(grid, spec, catalogue):
+    """(name, threshold, per-draw ratios) of every row of a full catalogue."""
+    dim, pad = grid.dim, grid.padded_points
+    vol = float(np.prod([L / P for L, P in zip(grid.extents, pad)]))
+    draw = [inequalities.draw_sample(grid, spec, i).coeffs for i in range(2 * spec.count)]
+
+    def values(c, alpha):
+        return contract(
+            [basis(M, P, L, a) for M, P, L, a in zip(c.shape[1:], pad, grid.extents, alpha)], c
+        )
+
+    def project(w):  # midpoint quadrature onto the grid's cosines
+        return contract(
+            [basis(N, P, L, 0).T * (L / P) for N, P, L in zip(grid.points, pad, grid.extents)], w
+        )
+
+    def w_inf_sq(c, k):
+        return max(
+            float((values(c, a) ** 2).sum(axis=0).max())
+            for o in range(k + 1)
+            for a in alphas(dim, o)
+        )
+
+    def single(c):
+        lam, c2 = lam_of(grid, c.shape[1:]), (c**2).sum(axis=0)
+        m = [float((lam**k * c2).sum()) for k in range(6)]
+        h = [sum(m[: s + 1]) for s in range(6)]
+        out = [
+            quotient(m[2], math.sqrt(m[1]) * math.sqrt(m[3])),
+            quotient(m[3], math.sqrt(m[2]) * math.sqrt(m[4])),
+        ]
+        ell = [h[2] / (m[0] + m[2]), m[1] / (m[0] + m[2]), h[3] / (m[0] + m[1] + m[3]),
+               h[4] / (m[0] + m[2] + m[4]), h[5] / (m[0] + m[1] + m[3] + m[5])]
+        out += [0.0] * 5 if h[5] < ZERO_CUT else ell
+        for r, q, s1, s2 in catalogue.gn:
+            theta = float(theta_of(dim, r, q, s1, s2))
+            if math.isinf(q):
+                num = math.sqrt(w_inf_sq(c, r))
+            else:
+                num = sum(
+                    float(((values(c, a) ** 2).sum(axis=0) ** (q / 2)).sum()) * vol
+                    for o in range(r + 1) for a in alphas(dim, o)
+                ) ** (1 / q)
+            out.append(quotient(num, math.sqrt(h[s1]) ** theta * math.sqrt(h[s2]) ** (1 - theta)))
+        return out
+
+    def pair(cu, cv):
+        u, v = values(cu, (0,) * dim), values(cv, (0,) * dim)
+        s = catalogue.product_s
+        w = project(np.sqrt((u**2).sum(axis=0) * (v**2).sum(axis=0))[None])[0]
+        lam = lam_of(grid, grid.points)
+        num = math.sqrt(float((sum(lam**j for j in range(s + 1)) * w**2).sum()))
+        out = [quotient(num, math.sqrt(h_sq(grid, cu, s)) * math.sqrt(h_sq(grid, cv, s)))]
+        gap = project((u**2).sum(axis=0) * u) - project((v**2).sum(axis=0) * v)
+        for k in catalogue.cubic_ks:
+            num = math.sqrt(sum(float((values(gap, a) ** 2).sum()) * vol for a in alphas(dim, k)))
+            den = (w_inf_sq(cu, k) + w_inf_sq(cv, k)) * math.sqrt(h_sq(grid, cu - cv, k))
+            out.append(quotient(num, den))
+        for k in catalogue.cross_ks:
+            lhs = dgap = mixed = 0.0
+            for a in alphas(dim, k):
+                du, dv = values(cu, a), values(cv, a)
+                cross_gap = np.cross(u, du, axis=0) - np.cross(v, dv, axis=0)
+                lhs += float((cross_gap**2).sum()) * vol
+                dgap += float((values(cu - cv, a) ** 2).sum()) * vol
+                mixed += float((((u - v) ** 2).sum(axis=0) * (dv**2).sum(axis=0)).sum()) * vol
+            linf = math.sqrt(float((u**2).sum(axis=0).max()))
+            out.append(quotient(math.sqrt(lhs), linf * math.sqrt(dgap) + math.sqrt(mixed)))
+        return out
+
+    singles = np.array([single(draw[i]) for i in range(spec.count)]).T
+    pairs = np.array([pair(draw[2 * i], draw[2 * i + 1]) for i in range(spec.count)]).T
+    names = ["eq3", "eq4", "eq1", "eq2", "eq5", "eq6", "eq8", f"eq7_s{catalogue.product_s}"]
+    names += [f"cubic_lipschitz_k{k}" for k in catalogue.cubic_ks]
+    names += [f"cross_diff_k{k}" for k in catalogue.cross_ks]
+    for r, q, s1, s2 in catalogue.gn:
+        t = theta_of(dim, r, q, s1, s2)
+        label = "inf" if math.isinf(q) else f"{q:g}"
+        names.append(f"gn_r{r}_q{label}_s{s1}{s2}_theta{t.numerator}-{t.denominator}")
+    one = 1.0 + 1e-9
+    thresholds = [one, one] + [None] * 6 + [1.5 + 1e-9, None, None, one, one, one]
+    thresholds += [None] * len(catalogue.gn)
+    ratios = [*singles[:7], *pairs, *singles[7:]]
+    return list(zip(names, thresholds, ratios))
+
+
+@pytest.mark.parametrize(
+    "extents, points, modes, count",
+    [
+        ((1.0,), (12,), (6,), 2 * inequalities._BLOCK_PAIRS + 1),
+        ((1.0,), (8,), (8,), 3),  # band = grid
+        ((1.0, 0.8), (8, 8), (4, 4), 2 * inequalities._BLOCK_PAIRS + 1),
+        ((1.0, 0.8), (6, 6), (6, 6), 4),  # band = grid
+        ((1.0, 0.8), (4, 4), (1, 1), 5),  # one mode: every derivative is 0/0
+        ((1.0, 0.8, 1.2), (6, 6, 6), (3, 3, 3), 3),
+    ],
+)
+def test_stacked_ensemble_matches_per_draw_formulas(extents, points, modes, count):
+    grid = GridSpec(extents=extents, points=points)
+    spec = spec_for(modes, seed=17, count=count)
+    catalogue = full_catalogue(grid.dim)
+    reports = inequalities.check_catalogue(grid, spec, catalogue)
+    expected = reference_rows(grid, spec, catalogue)
+    assert [r.inequality for r in reports] == [name for name, _, _ in expected]
+    for rep, (name, threshold, ratios) in zip(reports, expected):
+        bad = ~np.isfinite(ratios) if threshold is None else ~(ratios <= threshold)
+        assert rep.violations == int(bad.sum()), name
+        assert rep.witness_seed == spec.seed
+        top = float(ratios.max())
+        if top < 1e-11:
+            # rounding noise of a quantity that is exactly zero
+            assert 0.0 <= rep.max_ratio < 1e-11 and rep.median_ratio < 1e-11, (name, rep)
+            continue
+        for got, want in ((rep.max_ratio, top), (rep.median_ratio, float(np.median(ratios)))):
+            assert abs(got - want) <= 1e-13 * abs(want), (name, got, want)
+        runner_up = np.sort(ratios)[-2] if len(ratios) > 1 else -math.inf
+        if top - runner_up > 1e-12 * top:  # a maximum tied within rounding has no fixed witness
+            assert rep.witness_index == int(np.argmax(ratios)), name
+    if modes == (1, 1):
+        got = {r.inequality: (r.max_ratio, r.median_ratio) for r in reports}
+        for name in ("eq3", "eq4", "eq2", "cross_diff_k0", "cross_diff_k1", "cross_diff_k2"):
+            assert got[name] == (0.0, 0.0), name
+        for name in ("eq1", "eq5", "eq6", "eq8"):
+            assert got[name] == (1.0, 1.0), name
+
+
+def test_ensemble_memory_is_flat_in_count():
+    grid = GridSpec(extents=(1.0, 0.8), points=(16, 16))
+    catalogue = full_catalogue(2)
+    block = inequalities._BLOCK_PAIRS
+    inequalities.check_catalogue(grid, spec_for((8, 8), count=block), catalogue)  # warm caches
+    peaks = []
+    for count in (block, 8 * block):
+        tracemalloc.start()
+        try:
+            inequalities.check_catalogue(grid, spec_for((8, 8), count=count), catalogue)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], f"peak {peaks[1]} B at 8 blocks vs {peaks[0]} B at one"
