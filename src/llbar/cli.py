@@ -90,8 +90,14 @@ def _ensemble_space(dim: int, points: int, modes: int) -> tuple[GridSpec, ModeBa
         problems.append(f"--modes: band {modes} exceeds {points} grid points")
     if problems:
         raise ConfigError(problems)
-    grid = GridSpec(_ENSEMBLE_EXTENTS[:dim], (points,) * dim)
-    return grid, ModeBand((modes,) * dim)
+    return _box_grid(dim, points, "--points"), ModeBand((modes,) * dim)
+
+
+def _box_grid(dim: int, points: int, flag: str) -> GridSpec:
+    try:
+        return GridSpec(_ENSEMBLE_EXTENTS[:dim], (points,) * dim)
+    except ValueError as err:
+        raise ConfigError([f"{flag}: {err}"]) from err
 
 
 def _require_completed(traj: stepping.Trajectory) -> stepping.Trajectory:
@@ -159,7 +165,7 @@ def _identity_residuals(
     coeff_sq = float((v.coeffs**2).sum())
 
     vals = operators.padded_values(v)
-    quad = operators.grid_inner(vals, vals, grid, grid.padded_points)
+    quad = operators.grid_inner(vals, vals, grid, grid.padded(band.modes))
     parseval = abs(quad - coeff_sq) / max(1.0, coeff_sq)
 
     direct = galerkin.f5(v)
@@ -267,6 +273,8 @@ def _cmd_verify_inequalities(args: argparse.Namespace) -> int:
 def _cmd_converge(args: argparse.Namespace) -> int:
     bands = args.bands
     problems = []
+    if args.dim not in (1, 2, 3):
+        problems.append(f"--dim: must be 1, 2 or 3, got {args.dim}")
     if len(bands) < 2:
         problems.append("--bands: need at least two band sizes")
     if any(b < 1 for b in bands):
@@ -280,7 +288,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
     dim = args.dim
     top = bands[-1]
-    grid = GridSpec(_ENSEMBLE_EXTENTS[:dim], (top,) * dim)
+    grid = _box_grid(dim, top, "--bands: the top band sets the grid")
     if args.initial == "constant":
         zero = (0,) * dim
         coeffs = np.zeros((3,) + (top,) * dim)

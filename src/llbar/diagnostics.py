@@ -3,13 +3,13 @@
 Everything here reads trajectories or ledgers; nothing mutates solver
 state.  The L2-family norms come from Parseval on the retained
 coefficients and are exact for band-limited fields; L4/L6/Linf and the
-mixed quartic products are quadratures on the twice-oversampled grid,
-where the quartic ones are themselves exact thanks to the dealiasing
-margin.  Balance residuals replace d/dt by second-order differences over
-the recorded times (three-point stencils that allow a short final
-interval, one-sided at the ends), so their magnitude converges at the
-integrator's order under dt refinement --- that convergence, not
-smallness per se, is the claim being checked.
+mixed quartic products are quadratures on the band's padded grid (twice
+the band per axis), where the quartic ones are themselves exact thanks
+to the dealiasing margin.  Balance residuals replace d/dt by
+second-order differences over the recorded times (three-point stencils
+that allow a short final interval, one-sided at the ends), so their
+magnitude converges at the integrator's order under dt refinement ---
+that convergence, not smallness per se, is the claim being checked.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def norms(u: SpectralField, t: float = 0.0) -> NormSuite:
     ladder = [float(np.sqrt((lam**m * c2).sum())) for m in range(6)]
 
     grid = u.grid
-    extents, points, dim = grid.extents, grid.padded_points, grid.dim
+    extents, points, dim = grid.extents, grid.padded(u.modes), grid.dim
     vol = math.prod(L / P for L, P in zip(extents, points))
     stack, values_work, column_work, nodes = fields._padded_work(grid, u.modes)
     mag2, lap_dot, lap2, grad2, u_dot_grad2, tmp = nodes[:6]
@@ -250,7 +250,7 @@ def h1_balance_residual(traj: Trajectory, params: LLBarParams) -> np.ndarray:
             f"balance residual needs at least 3 snapshots, got {len(traj.times)}"
         )
     grid = traj.grid
-    points = grid.padded_points
+    points = grid.padded(traj.band.modes)
     ledger = EnergyLedger(
         records=[norms(s, t) for t, s in zip(traj.times, traj.snapshots)]
     )
@@ -578,7 +578,7 @@ def completed_square_residual(s: SpectralField, params: LLBarParams) -> float:
         raise ValueError("the completed square needs beta2 > 0")
     alpha = params.beta5 / (2.0 * params.beta2)
     grid = s.grid
-    points = grid.padded_points
+    points = grid.padded(s.modes)
     x = operators.padded_grad_laplacian(s)
     y = operators.cubic_gradient_values(s)
     xx = operators.grid_inner(x, x, grid, points)

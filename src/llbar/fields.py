@@ -59,9 +59,9 @@ class GridSpec:
     points : tuple of int
         Grid sizes N_j >= 4 per axis.
     dealias_pad : int
-        Padding factor for pointwise products (>= 1).  The default 2 keeps
-        cubic products alias-free on the retained band; 3/2 would only
-        cover quadratic ones.
+        Oversampling factor (>= 1) for pointwise products: :meth:`padded`
+        gives ``dealias_pad * M_j`` midpoints per axis for an M_j-mode band.
+        The default 2 keeps the band's cubic projections exact; 1 aliases them.
     """
 
     extents: tuple[float, ...]
@@ -98,9 +98,8 @@ class GridSpec:
             vol *= L / N
         return vol
 
-    @property
-    def padded_points(self) -> tuple[int, ...]:
-        return tuple(self.dealias_pad * N for N in self.points)
+    def padded(self, modes: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(self.dealias_pad * M for M in modes)
 
     def axis_coords(self, axis: int, points: int | None = None) -> np.ndarray:
         """Midpoint coordinates along one axis (optionally at another resolution)."""
@@ -317,13 +316,13 @@ def _padded_work(grid: GridSpec, modes: tuple[int, ...]) -> tuple:
     padded-grid array from it.  Neither calls the other, and each
     reduces what it needs to scalars or fresh arrays before it returns,
     so nothing a caller holds points into the set; the next call simply
-    overwrites it.  With the default padding an entry holds at most
-    about 22 doubles per padded node (4.8 MiB for an 8^3 band on a 32^3
-    padded grid), so the cache keeps only two.  The set is not
-    thread-safe: two threads evaluating on one (grid, modes) at once
-    would overwrite each other's arrays.
+    overwrites it.  An entry holds at most about 22 doubles per node of
+    the band's padded grid (about 0.7 MiB for an 8^3 band, padded to
+    16^3), so the cache keeps only two.  The set is not thread-safe: two
+    threads evaluating on one (grid, modes) at once would overwrite each
+    other's arrays.
     """
-    points = grid.padded_points
+    points = grid.padded(modes)
     return (
         np.empty((6,) + modes),  # coefficients of u and Lap u
         _series_work(6, modes, points),  # u and Lap u; projection of 6 products

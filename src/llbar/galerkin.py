@@ -7,11 +7,11 @@ The evolution solved here is
 
 projected onto a retained cosine band.  The right-hand side splits into a
 diagonal linear part with symbol m(k) = -beta1*lambda(k) - beta2*lambda(k)^2
-and a nonlinear remainder; ``rhs`` assembles the whole thing through the
-five constituent maps ``f1`` .. ``f5`` while ``nonlinear_term`` provides a
-cheaper evaluation path for time steppers (it reuses one cubic transform
-for both the f3 and f5 contributions, which agree with the direct route to
-rounding because the working grid oversamples the retained band by two).
+and a nonlinear remainder, ``nonlinear_term``, shared by ``rhs`` and the
+steppers.  It reuses one cubic transform for the f3 and f5 contributions,
+exact to rounding on the band's padded grid (``dealias_pad`` = 2 midpoints
+per retained mode and axis); the maps ``f1`` .. ``f5`` stay as the
+independent route that the identity checks and the weak form use.
 """
 
 from __future__ import annotations
@@ -212,19 +212,11 @@ def f5(v: SpectralField) -> SpectralField:
 
 
 def rhs(v: SpectralField, params: LLBarParams) -> SpectralField:
-    """Full Galerkin right-hand side at ``v``."""
+    """Full Galerkin right-hand side at ``v``: ``m(k) v + nonlinear_term(v)``."""
     lam = v.eigenvalues
     linear = (-params.beta1 * lam - params.beta2 * lam * lam)[None] * v.coeffs
-    c3 = f3(v).coeffs
-    c4 = f4(v).coeffs
-    c5 = f5(v).coeffs
-    coeffs = (
-        linear
-        + params.beta3 * (v.coeffs - c3)
-        - params.beta4 * c4
-        + params.beta5 * c5
-    )
-    return SpectralField(grid=v.grid, modes=v.modes, coeffs=coeffs)
+    remainder, _ = nonlinear_term(v, params)
+    return SpectralField(grid=v.grid, modes=v.modes, coeffs=linear + remainder.coeffs)
 
 
 def rhs_linear_factor(
@@ -247,7 +239,7 @@ def nonlinear_term(
     """Stiffly-stable splitting remainder ``rhs(v) - m(k) v``.
 
     Returns the remainder together with the pointwise-magnitude sup of
-    ``v`` on the oversampled grid (the same reading as the ledger's Linf
+    ``v`` on the band's padded grid (the same reading as the ledger's Linf
     column), which steppers use for blow-up checks at no extra transform
     cost.  One evaluation pass serves ``v`` and ``Lap v``; one
     analysis pass serves the cubic and cross products, with the f5 term
@@ -257,7 +249,7 @@ def nonlinear_term(
     coefficients are fresh.
     """
     grid = v.grid
-    extents, points, all_cos = grid.extents, grid.padded_points, ("cos",) * grid.dim
+    extents, points, all_cos = grid.extents, grid.padded(v.modes), ("cos",) * grid.dim
     lam = fields.eigenvalue_array(grid, v.modes)
     stacked, series_work, _, nodes = fields._padded_work(grid, v.modes)
     stacked[:3] = v.coeffs

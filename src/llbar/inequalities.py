@@ -222,9 +222,9 @@ def _quotient(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
 
 
 def _padded(grid: GridSpec, coeffs: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
-    """D^alpha of a (n, 3, *modes) coefficient stack on the padded grid."""
+    """D^alpha of a (n, 3, *modes) stack, padded for the N cosines the cubic rows project onto."""
     c, parities = fields._derivative_multiplier(coeffs, grid.extents, alpha)
-    return fields._eval_series(c, grid.extents, parities, grid.padded_points)
+    return fields._eval_series(c, grid.extents, parities, grid.padded(grid.points))
 
 
 def _cross_gap(u, du, v, dv) -> np.ndarray:
@@ -280,7 +280,7 @@ def catalogue_ratios(
     # One padded synthesis per multi-index, shared by every row.  Orders
     # run upwards; after each, the running maxima and L^q sums become that
     # order's W^{k,inf} and W^{k,q} values.
-    vol = math.prod(L / P for L, P in zip(grid.extents, grid.padded_points))
+    vol = math.prod(L / P for L, P in zip(grid.extents, grid.padded(grid.points)))
     pairs = n // 2
     qs = sorted({q for _, q, _, _ in catalogue.gn if not math.isinf(q)})
     running_max, running_q = np.zeros(n), {q: np.zeros(s) for q in qs}

@@ -2,10 +2,12 @@
 
 Everything here is exact on band-limited fields: Laplacian powers are
 diagonal multipliers, odd derivatives swap an axis to sine parity, and
-pointwise products are formed on the dealiased (padded) midpoint grid
-before projecting back, so the retained-band coefficients of quadratic,
-cubic and quartic products carry no aliasing error at the default padding
-factor 2.
+pointwise products are formed on the padded midpoint grid of the band
+they are projected onto (``GridSpec.padded``: ``dealias_pad`` points per
+mode and axis) before projecting back.  At the default factor 2 an
+M-mode band's cubic projections and quartic integrals, of degree at most
+4(M - 1), fall below the 4M that midpoint quadrature on 2M points
+integrates exactly, so they carry no aliasing error.
 """
 
 from __future__ import annotations
@@ -82,8 +84,7 @@ def gradient(u) -> JacobianField:
 def grad_laplacian(u) -> JacobianField:
     """nabla(Delta u) = Delta(nabla u): diagonal multiplier then gradient."""
     s = _as_spectral(u)
-    ds = SpectralField(s.grid, s.modes, -s.eigenvalues * s.coeffs)
-    return JacobianField(s.grid, _jacobian_values(ds, s.grid.points))
+    return JacobianField(s.grid, _jacobian_values(laplacian(s), s.grid.points))
 
 
 # ---------------------------------------------------------------------------
@@ -127,25 +128,23 @@ def dot(A, B) -> np.ndarray:
 
 
 def padded_values(s: SpectralField, points: tuple[int, ...] | None = None) -> np.ndarray:
-    """Field samples on the dealiased midpoint grid, shape (3, *points)."""
+    """Field samples on the band's padded midpoint grid, shape (3, *points)."""
     grid = s.grid
-    pts = grid.padded_points if points is None else points
+    pts = grid.padded(s.modes) if points is None else points
     return _eval_series(s.coeffs, grid.extents, ("cos",) * grid.dim, pts)
 
 
 def padded_jacobian(s: SpectralField, points: tuple[int, ...] | None = None) -> np.ndarray:
-    pts = s.grid.padded_points if points is None else points
+    pts = s.grid.padded(s.modes) if points is None else points
     return _jacobian_values(s, pts)
 
 
 def padded_laplacian_values(s: SpectralField, points: tuple[int, ...] | None = None) -> np.ndarray:
-    ds = SpectralField(s.grid, s.modes, -s.eigenvalues * s.coeffs)
-    return padded_values(ds, points)
+    return padded_values(laplacian(s), points)
 
 
 def padded_grad_laplacian(s: SpectralField, points: tuple[int, ...] | None = None) -> np.ndarray:
-    ds = SpectralField(s.grid, s.modes, -s.eigenvalues * s.coeffs)
-    return padded_jacobian(ds, points)
+    return padded_jacobian(laplacian(s), points)
 
 
 def grid_inner(a: np.ndarray, b: np.ndarray, grid: GridSpec, points: tuple[int, ...]) -> float:
@@ -166,14 +165,14 @@ def grid_inner(a: np.ndarray, b: np.ndarray, grid: GridSpec, points: tuple[int, 
 
 
 def cubic_values(s: SpectralField, points: tuple[int, ...] | None = None) -> np.ndarray:
-    """|v|^2 v sampled pointwise on the dealiased grid."""
+    """|v|^2 v sampled pointwise on the band's padded grid."""
     v = padded_values(s, points)
     return (v * v).sum(axis=0) * v
 
 
 def cubic_gradient_values(s: SpectralField, points: tuple[int, ...] | None = None) -> np.ndarray:
     """nabla(|v|^2 v) = 2 v (v . nabla v) + |v|^2 nabla v, sampled pointwise."""
-    pts = s.grid.padded_points if points is None else points
+    pts = s.grid.padded(s.modes) if points is None else points
     v = padded_values(s, pts)
     J = padded_jacobian(s, pts)
     vg = (v[:, None] * J).sum(axis=0)  # rows v . d_j v
@@ -183,7 +182,7 @@ def cubic_gradient_values(s: SpectralField, points: tuple[int, ...] | None = Non
 
 def cubic_laplacian_values(s: SpectralField, points: tuple[int, ...] | None = None) -> np.ndarray:
     """Delta(|v|^2 v) = 2|nabla v|^2 v + 2(v.Delta v)v + 4 nabla v (v.nabla v)^T + |v|^2 Delta v."""
-    pts = s.grid.padded_points if points is None else points
+    pts = s.grid.padded(s.modes) if points is None else points
     v = padded_values(s, pts)
     J = padded_jacobian(s, pts)
     Lv = padded_laplacian_values(s, pts)
@@ -195,10 +194,10 @@ def cubic_laplacian_values(s: SpectralField, points: tuple[int, ...] | None = No
 
 
 def cubic_band(s: SpectralField, modes: tuple[int, ...] | None = None) -> SpectralField:
-    """Projection of |v|^2 v onto a retained band (exact under 2x padding)."""
+    """Projection of |v|^2 v onto a band, sampled on the wider band's padded grid."""
     grid = s.grid
     target = s.modes if modes is None else tuple(modes)
-    w = cubic_values(s)
+    w = cubic_values(s, grid.padded(tuple(map(max, s.modes, target))))
     coeffs = _transform_series(w, grid.extents, ("cos",) * grid.dim, target)
     return SpectralField(grid, target, coeffs)
 
@@ -207,7 +206,7 @@ def delta_cubic_band(s: SpectralField, modes: tuple[int, ...] | None = None) -> 
     """Projection of Delta(|v|^2 v) onto a band, assembled from the identity form."""
     grid = s.grid
     target = s.modes if modes is None else tuple(modes)
-    w = cubic_laplacian_values(s)
+    w = cubic_laplacian_values(s, grid.padded(tuple(map(max, s.modes, target))))
     coeffs = _transform_series(w, grid.extents, ("cos",) * grid.dim, target)
     return SpectralField(grid, target, coeffs)
 

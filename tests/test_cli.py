@@ -254,6 +254,10 @@ def test_run_off_cadence_final_record(tmp_path):
         (["verify-identities", "--count", "0"], 2, "--count"),
         (["holder", "--tend", "1001"], 2, "max_steps"),
         (["run", "{long}"], 2, "max_steps"),
+        (["verify-identities", "--points", "3", "--modes", "2"], 2, "--points"),
+        (["verify-inequalities", "--points", "3", "--modes", "2"], 2, "--points"),
+        (["converge", "--bands", "1,3"], 2, "--bands"),
+        (["converge", "--dim", "4"], 2, "--dim"),
     ],
 )
 def test_error_paths_print_one_line(tmp_path, capsys, argv, code, detail):

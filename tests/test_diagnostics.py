@@ -86,9 +86,9 @@ def _closed_form_samples(coeffs, grid, orders, points):
 )
 def test_norm_suite_matches_whole_array_formulas(extents, points, modes):
     # every reading again, from the full Jacobian and whole-array numpy on
-    # the padded grid, with samples summed from the closed-form basis
+    # the band's padded grid, with samples summed from the closed-form basis
     grid = GridSpec(extents=extents, points=points)
-    dim, pts = grid.dim, grid.padded_points
+    dim, pts = grid.dim, grid.padded(modes)
     s = fields.random_field(grid, modes, seed=11, decay=2.0, amplitude=0.9)
     lam = sum(
         np.reshape((np.arange(M) * np.pi / L) ** 2, [-1 if a == j else 1 for a in range(dim)])

@@ -48,7 +48,8 @@ def test_grid_validation():
         GridSpec(extents=(1.0,), points=(8,), dealias_pad=0)
     g = GridSpec(extents=(1.0, 0.5), points=(8, 16))
     assert g.dim == 2
-    assert g.padded_points == (16, 32)
+    assert g.padded((8, 16)) == (16, 32)
+    assert g.padded((3, 5)) == (6, 10)
     assert g.cell_volume == pytest.approx(1.0 / 8 * 0.5 / 16)
 
 
@@ -275,8 +276,17 @@ def test_padded_work_starts_on_pages():
     for buffer in (*synthesis, *column, nodes):
         assert buffer.ctypes.data % 4096 == 0
         assert buffer.flags["C_CONTIGUOUS"]
-    assert nodes.shape == (8, 64 * 64)
+    assert nodes.shape == (8, 40 * 64)
     assert stack.shape == (6, 20, 32)
+
+
+def test_padded_work_is_sized_by_the_band():
+    # products of an 8^3 band are exact on its own 16^3 padded grid, so
+    # the work set of a 16^3 grid holds 16^3 nodes per vector, not 32^3
+    grid = GridSpec(extents=(1.0, 0.8, 1.2), points=(16, 16, 16))
+    stack, synthesis, column, nodes = fields._padded_work(grid, (8, 8, 8))
+    assert nodes.shape == (8, 16**3)
+    assert max(buffer.size for buffer in (*synthesis, *column)) == 6 * 16**3
 
 
 _THREAD_PROBE = """
@@ -289,7 +299,7 @@ from llbar.stepping import IntegratorPolicy
 params = LLBarParams(0.4, 0.01, 1.2, 0.7, 0.25)
 digest = hashlib.sha256()
 cases = [
-    ((1.0, 0.8), (24, 160), (12, 24), 10),  # axis 1 pads past the rule
+    ((1.0, 0.8), (24, 160), (12, 160), 10),  # axis 1 pads past the rule
     ((1.0, 0.8, 1.2), (16, 16, 16), (16, 16, 16), 4),
     ((1.0, 0.8, 1.2), (32, 32, 32), (16, 16, 16), 2),
 ]

@@ -153,7 +153,7 @@ def test_rhs_weak_form_by_parts():
     r = galerkin.rhs(u, PARAMS)
     lhs = float((r.coeffs * phi.coeffs).sum())
 
-    pts = grid.padded_points
+    pts = grid.padded(band.modes)
     uv = operators.padded_values(u)
     pv = operators.padded_values(phi)
     Ju = operators.padded_jacobian(u)
@@ -177,16 +177,19 @@ def test_rhs_weak_form_by_parts():
 
 
 def test_rhs_splits_into_linear_and_remainder():
-    # the stepper's split: rhs(v) = m(k) v + N(v) with m = -b1 l - b2 l^2
+    # rhs(v) = m(k) v + N(v); the remainder N, one shared padded pass,
+    # must match its assembly from the separate maps f3, f4 and f5
     grid = GridSpec(extents=(1.0,), points=(32,))
     band = ModeBand((20,))
     v = galerkin.project(fields.random_field(grid, (32,), seed=6, decay=2.0), band)
-    full = galerkin.rhs(v, PARAMS)
-    m = galerkin.rhs_linear_factor(grid, band, PARAMS)
     remainder, linf = galerkin.nonlinear_term(v, PARAMS)
-    recombined = m * v.coeffs + remainder.coeffs
-    gap = np.abs(full.coeffs - recombined).max()
-    assert gap < 1e-11 * max(1.0, np.abs(full.coeffs).max()), f"split gap {gap}"
+    assembled = (
+        PARAMS.beta3 * (v.coeffs - galerkin.f3(v).coeffs)
+        - PARAMS.beta4 * galerkin.f4(v).coeffs
+        + PARAMS.beta5 * galerkin.f5(v).coeffs
+    )
+    gap = np.abs(remainder.coeffs - assembled).max()
+    assert gap < 1e-11 * max(1.0, np.abs(assembled).max()), f"split gap {gap}"
     # reported sup norm matches the padded-grid evaluation
     mag = np.sqrt((operators.padded_values(v) ** 2).sum(axis=0)).max()
     assert linf == pytest.approx(mag, rel=1e-13)
@@ -221,7 +224,7 @@ def test_nonlinear_term_reuses_its_buffers():
     "extents, points, modes",
     [
         ((1.0, 0.8, 1.2), (16, 16, 16), (8, 8, 8)),
-        ((1.0, 0.7), (12, 150), (12, 90)),  # a 300-point padded pocketfft axis
+        ((1.0, 0.7), (24, 150), (12, 150)),  # a 300-point padded pocketfft axis
     ],
 )
 def test_nonlinear_term_results_do_not_alias_the_work_set(extents, points, modes):
@@ -244,3 +247,57 @@ def test_nonlinear_term_results_do_not_alias_the_work_set(extents, points, modes
     fresh, linf_fresh = galerkin.nonlinear_term(a, PARAMS)
     assert fresh.coeffs.tobytes() == kept.tobytes()
     assert linf_fresh == linf_a
+
+
+@pytest.mark.parametrize(
+    "extents, points, modes",
+    [
+        ((1.3,), (16,), (7,)),
+        ((1.0,), (8,), (1,)),
+        ((1.0, 0.8), (12, 10), (5, 8)),
+        ((1.0, 0.8, 1.2), (10, 8, 9), (5, 1, 4)),
+    ],
+)
+def test_band_sized_padding_is_exact(extents, points, modes):
+    # an M-mode band has degree M - 1, so its quartic integrands and the
+    # projections of its cubic products have degree <= 4(M - 1), which
+    # midpoint quadrature on the band's 2M points integrates exactly:
+    # the same readings on 2N points (N > M) may differ only by rounding
+    grid = GridSpec(extents=extents, points=points)
+    s = fields.random_field(grid, modes, seed=13, decay=2.0, amplitude=0.9)
+    ref = tuple(2 * N for N in points)
+    vol = np.prod([L / P for L, P in zip(extents, ref)])
+    lam = s.eigenvalues
+
+    def field(c):
+        return SpectralField(grid, modes, c)
+
+    u = operators.padded_values(s, ref)
+    lap = operators.padded_laplacian_values(s, ref)
+    jac = operators.padded_jacobian(s, ref)
+    mag2 = (u**2).sum(axis=0)
+    expected = dict(
+        L2=(mag2.sum() * vol) ** 0.5,
+        L4=((mag2**2).sum() * vol) ** 0.25,
+        gradL2=((jac**2).sum() * vol) ** 0.5,
+        deltaL2=((lap**2).sum() * vol) ** 0.5,
+        gradDeltaL2=((operators.padded_grad_laplacian(s, ref) ** 2).sum() * vol) ** 0.5,
+        delta2L2=((operators.padded_values(field(lam**2 * s.coeffs), ref) ** 2).sum() * vol) ** 0.5,
+        gradDelta2L2=((operators.padded_jacobian(field(lam**2 * s.coeffs), ref) ** 2).sum() * vol) ** 0.5,
+        uDotGradU=((np.einsum("c...,cj...->j...", u, jac) ** 2).sum() * vol) ** 0.5,
+        absUabsGradU=((mag2 * (jac**2).sum(axis=(0, 1))).sum() * vol) ** 0.5,
+        uDotDeltaU=(((u * lap).sum(axis=0) ** 2).sum() * vol) ** 0.5,
+        absUabsDeltaU=((mag2 * (lap**2).sum(axis=0)).sum() * vol) ** 0.5,
+    )
+    suite = diagnostics.norms(s)
+    for name, value in expected.items():
+        assert getattr(suite, name) == pytest.approx(value, rel=1e-13, abs=0.0), name
+
+    products = np.concatenate([mag2 * u, np.cross(u, lap, axis=0)])
+    c3, c4 = np.split(
+        fields._transform_series(products, extents, ("cos",) * grid.dim, modes), 2
+    )
+    want = PARAMS.beta3 * (s.coeffs - c3) - PARAMS.beta4 * c4 - PARAMS.beta5 * lam * c3
+    got, _ = galerkin.nonlinear_term(s, PARAMS)
+    scale = np.abs(want).max()
+    assert np.abs(got.coeffs - want).max() <= 1e-13 * scale

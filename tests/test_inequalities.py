@@ -275,7 +275,7 @@ def theta_of(dim, r, q, s1, s2):
 
 def reference_rows(grid, spec, catalogue):
     """(name, threshold, per-draw ratios) of every row of a full catalogue."""
-    dim, pad = grid.dim, grid.padded_points
+    dim, pad = grid.dim, grid.padded(grid.points)
     vol = float(np.prod([L / P for L, P in zip(grid.extents, pad)]))
     draw = [inequalities.draw_sample(grid, spec, i).coeffs for i in range(2 * spec.count)]
 
