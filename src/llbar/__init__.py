@@ -5,7 +5,6 @@ verification suite for its energy laws, estimates and inequalities.
 
 from .fields import (
     GridSpec,
-    JacobianField,
     SpectralField,
     VectorField,
     forward,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GridSpec",
     "VectorField",
-    "JacobianField",
     "SpectralField",
     "forward",
     "inverse",

@@ -133,8 +133,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     traj = stepping.integrate(
         u0, cfg.params, cfg.policy, band=cfg.band, cadence=cfg.cadence
     )
+    try:
+        ledger = diagnostics.EnergyLedger.from_trajectory(traj, params=cfg.params)
+    except ValueError as err:  # a recorded norm overflowed the float range
+        _emit("blowup", f"recorded norms overflowed ({err}); nothing written")
+        return EXIT_BLOWUP
     os.makedirs(cfg.directory, exist_ok=True)
-    ledger = diagnostics.EnergyLedger.from_trajectory(traj, params=cfg.params)
     ledger.write_csv(os.path.join(cfg.directory, f"{cfg.prefix}_ledger.csv"))
     for i, u in enumerate(traj.snapshots):
         path = os.path.join(cfg.directory, f"{cfg.prefix}_{i:06d}.snap")
@@ -168,8 +172,8 @@ def _identity_residuals(
     quad = operators.grid_inner(vals, vals, grid, grid.padded(band.modes))
     parseval = abs(quad - coeff_sq) / max(1.0, coeff_sq)
 
-    direct = galerkin.f5(v)
-    composed = galerkin.f1(galerkin.f3(v))
+    direct = operators.delta_cubic_band(v)
+    composed = operators.laplacian(operators.cubic_band(v))
     routes = _coeff_l2(direct.coeffs - composed.coeffs) / max(
         1.0, _coeff_l2(direct.coeffs)
     )
@@ -283,6 +287,8 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         problems.append(f"--bands: sizes must increase, got {bands}")
     if args.initial not in ("random", "constant"):
         problems.append(f"--initial: unknown kind {args.initial!r}")
+    if not args.decay >= 0.0:
+        problems.append(f"--decay: must be nonnegative, got {args.decay}")
     if problems:
         raise ConfigError(problems)
 
@@ -396,8 +402,10 @@ def _cmd_holder(args: argparse.Namespace) -> int:
 
 
 def _cmd_depend(args: argparse.Namespace) -> int:
-    if any(d <= 0.0 for d in args.delta):
-        raise ConfigError([f"--delta: perturbation sizes must be positive, got {args.delta}"])
+    if not all(0.0 < d < math.inf for d in args.delta):
+        raise ConfigError(
+            [f"--delta: perturbation sizes must be positive and finite, got {args.delta}"]
+        )
     grid, band = _ensemble_space(args.dim, args.points, args.modes)
     u0 = fields.random_field(
         grid, band.modes, seed=args.seed, decay=4.0, amplitude=args.amplitude
@@ -548,8 +556,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # overflow turns into inf/nan, which the commands report as a blow-up
+    # or a violation; numpy's warnings would break the one-line contract
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ConfigError as err:
         _emit("config-error", "; ".join(err.problems))
         return EXIT_CONFIG

@@ -33,7 +33,6 @@ from scipy import fft as sfft
 __all__ = [
     "GridSpec",
     "VectorField",
-    "JacobianField",
     "SpectralField",
     "SnapshotError",
     "forward",
@@ -91,13 +90,6 @@ class GridSpec:
     def dim(self) -> int:
         return len(self.extents)
 
-    @property
-    def cell_volume(self) -> float:
-        vol = 1.0
-        for L, N in zip(self.extents, self.points):
-            vol *= L / N
-        return vol
-
     def padded(self, modes: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(self.dealias_pad * M for M in modes)
 
@@ -126,22 +118,6 @@ class VectorField:
         if data.shape != expected:
             raise ValueError(f"VectorField data shape {data.shape}, expected {expected}")
         _check_finite("VectorField", data)
-        object.__setattr__(self, "data", data)
-
-
-@dataclass(frozen=True, eq=False)
-class JacobianField:
-    """Per-node Jacobian: data[component, axis, i1, ..., id] holds d_axis u_component."""
-
-    grid: GridSpec
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        data = np.ascontiguousarray(self.data, dtype=np.float64)
-        expected = (3, self.grid.dim) + self.grid.points
-        if data.shape != expected:
-            raise ValueError(f"JacobianField data shape {data.shape}, expected {expected}")
-        _check_finite("JacobianField", data)
         object.__setattr__(self, "data", data)
 
 
@@ -531,16 +507,18 @@ def read_snapshot(path, dealias_pad: int = 2) -> VectorField:
         raw = fh.read()
     if raw[:4] != SNAPSHOT_MAGIC:
         raise SnapshotError(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < 12:
+        raise SnapshotError(f"{path}: header truncated at {len(raw)} bytes")
     version, dim = struct.unpack_from("<II", raw, 4)
     if version != SNAPSHOT_VERSION:
         raise SnapshotError(f"{path}: unsupported version {version}")
     if not 1 <= dim <= 3:
         raise SnapshotError(f"{path}: bad dimension {dim}")
-    offset = 12
-    points = struct.unpack_from(f"<{dim}I", raw, offset)
-    offset += 4 * dim
-    extents = struct.unpack_from(f"<{dim}d", raw, offset)
-    offset += 8 * dim
+    offset = 12 + 12 * dim
+    if len(raw) < offset:
+        raise SnapshotError(f"{path}: header truncated at {len(raw)} bytes, expected {offset}")
+    points = struct.unpack_from(f"<{dim}I", raw, 12)
+    extents = struct.unpack_from(f"<{dim}d", raw, 12 + 4 * dim)
     count = 3 * int(np.prod(points))
     expected = offset + 8 * count
     if len(raw) != expected:

@@ -8,10 +8,11 @@ The evolution solved here is
 projected onto a retained cosine band.  The right-hand side splits into a
 diagonal linear part with symbol m(k) = -beta1*lambda(k) - beta2*lambda(k)^2
 and a nonlinear remainder, ``nonlinear_term``, shared by ``rhs`` and the
-steppers.  It reuses one cubic transform for the f3 and f5 contributions,
-exact to rounding on the band's padded grid (``dealias_pad`` = 2 midpoints
-per retained mode and axis); the maps ``f1`` .. ``f5`` stay as the
-independent route that the identity checks and the weak form use.
+steppers.  It reuses one cubic transform for the ``(1 - |u|^2) u`` and
+``Lap(|u|^2 u)`` contributions, exact to rounding on the band's padded grid
+(``dealias_pad`` = 2 midpoints per retained mode and axis).  ``f4``, the
+band projection of ``u x Lap(u)``, stays as the independent route to the
+precession term that the identity checks use.
 """
 
 from __future__ import annotations
@@ -29,11 +30,7 @@ __all__ = [
     "ModeBand",
     "derive_beta1",
     "project",
-    "f1",
-    "f2",
-    "f3",
     "f4",
-    "f5",
     "rhs",
     "rhs_linear_factor",
     "nonlinear_term",
@@ -141,7 +138,7 @@ class LLBarParams:
 
 @dataclass(frozen=True)
 class ModeBand:
-    """Retained modes per axis; the Galerkin space has ``count`` scalar modes."""
+    """Retained cosine modes per axis."""
 
     modes: tuple[int, ...]
 
@@ -156,10 +153,6 @@ class ModeBand:
     @property
     def dim(self) -> int:
         return len(self.modes)
-
-    @property
-    def count(self) -> int:
-        return int(np.prod(self.modes))
 
 
 def project(v: SpectralField, band: ModeBand) -> SpectralField:
@@ -177,21 +170,6 @@ def project(v: SpectralField, band: ModeBand) -> SpectralField:
     return SpectralField(grid=v.grid, modes=band.modes, coeffs=out)
 
 
-def f1(v: SpectralField) -> SpectralField:
-    """Laplacian; diagonal with multiplier ``-lambda(k)``."""
-    return operators.laplacian(v)
-
-
-def f2(v: SpectralField) -> SpectralField:
-    """Bilaplacian; diagonal with multiplier ``lambda(k)^2``."""
-    return operators.bilaplacian(v)
-
-
-def f3(v: SpectralField) -> SpectralField:
-    """Band projection of the cubic ``|v|^2 v``."""
-    return operators.cubic_band(v)
-
-
 def f4(v: SpectralField) -> SpectralField:
     """Band projection of the precession density ``v x Lap(v)``."""
     u_vals = operators.padded_values(v)
@@ -201,14 +179,6 @@ def f4(v: SpectralField) -> SpectralField:
         w, v.grid.extents, ("cos",) * v.grid.dim, v.modes
     )
     return SpectralField(grid=v.grid, modes=v.modes, coeffs=coeffs)
-
-
-def f5(v: SpectralField) -> SpectralField:
-    """Band projection of ``Lap(|v|^2 v)`` assembled from the pointwise
-    expansion ``2|grad v|^2 v + 2 (v . Lap v) v + 4 (grad v)(v . grad v) +
-    |v|^2 Lap v`` rather than by composing ``f1`` with ``f3``; the two
-    routes agreeing is one of the identity checks."""
-    return operators.delta_cubic_band(v)
 
 
 def rhs(v: SpectralField, params: LLBarParams) -> SpectralField:
@@ -242,9 +212,9 @@ def nonlinear_term(
     ``v`` on the band's padded grid (the same reading as the ledger's Linf
     column), which steppers use for blow-up checks at no extra transform
     cost.  One evaluation pass serves ``v`` and ``Lap v``; one
-    analysis pass serves the cubic and cross products, with the f5 term
-    folded in as ``-lambda(k)`` times the cubic coefficients.  Every
-    padded-grid array comes from the work set that
+    analysis pass serves the cubic and cross products, with the
+    ``Lap(|v|^2 v)`` term folded in as ``-lambda(k)`` times the cubic
+    coefficients.  Every padded-grid array comes from the work set that
     ``fields._padded_work`` caches per (grid, modes); the returned
     coefficients are fresh.
     """

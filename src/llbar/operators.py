@@ -1,13 +1,14 @@
 """Spectral differential operators and the cubic identities of the model.
 
-Everything here is exact on band-limited fields: Laplacian powers are
-diagonal multipliers, odd derivatives swap an axis to sine parity, and
-pointwise products are formed on the padded midpoint grid of the band
-they are projected onto (``GridSpec.padded``: ``dealias_pad`` points per
-mode and axis) before projecting back.  At the default factor 2 an
-M-mode band's cubic projections and quartic integrals, of degree at most
-4(M - 1), fall below the 4M that midpoint quadrature on 2M points
-integrates exactly, so they carry no aliasing error.
+Everything here acts on a ``SpectralField`` and is exact on band-limited
+fields: the Laplacian is a diagonal multiplier, odd derivatives swap an
+axis to sine parity, and pointwise products are formed on the padded
+midpoint grid of the band they are projected onto (``GridSpec.padded``:
+``dealias_pad`` points per mode and axis) before projecting back.  At the
+default factor 2 an M-mode band's cubic projections and quartic
+integrals, of degree at most 4(M - 1), fall below the 4M that midpoint
+quadrature on 2M points integrates exactly, so they carry no aliasing
+error.
 """
 
 from __future__ import annotations
@@ -16,52 +17,31 @@ import numpy as np
 
 from .fields import (
     GridSpec,
-    JacobianField,
     SpectralField,
-    VectorField,
     _derivative_multiplier,
     _eval_series,
     _transform_series,
-    eigenvalue_array,
-    forward,
-    inverse,
 )
 
 __all__ = [
-    "gradient",
     "laplacian",
-    "bilaplacian",
-    "grad_laplacian",
-    "cross",
-    "dot",
-    "nabla_cubic",
-    "delta_cubic",
+    "padded_values",
+    "padded_jacobian",
+    "padded_laplacian_values",
+    "padded_grad_laplacian",
     "grid_inner",
+    "cubic_values",
+    "cubic_gradient_values",
+    "cubic_laplacian_values",
+    "cubic_band",
+    "delta_cubic_band",
     "face_normal_derivative",
 ]
 
 
-def _as_spectral(u) -> SpectralField:
-    return forward(u) if isinstance(u, VectorField) else u
-
-
-# ---------------------------------------------------------------------------
-# Linear operators.
-# ---------------------------------------------------------------------------
-
-
-def laplacian(u):
-    """Delta u via the -lambda(k) multiplier; returns the input's type."""
-    s = _as_spectral(u)
-    out = SpectralField(s.grid, s.modes, -s.eigenvalues * s.coeffs)
-    return inverse(out) if isinstance(u, VectorField) else out
-
-
-def bilaplacian(u):
-    """Delta^2 u via the lambda(k)^2 multiplier; returns the input's type."""
-    s = _as_spectral(u)
-    out = SpectralField(s.grid, s.modes, s.eigenvalues**2 * s.coeffs)
-    return inverse(out) if isinstance(u, VectorField) else out
+def laplacian(s: SpectralField) -> SpectralField:
+    """Delta u via the -lambda(k) multiplier."""
+    return SpectralField(s.grid, s.modes, -s.eigenvalues * s.coeffs)
 
 
 def _jacobian_values(s: SpectralField, points: tuple[int, ...]) -> np.ndarray:
@@ -73,53 +53,6 @@ def _jacobian_values(s: SpectralField, points: tuple[int, ...]) -> np.ndarray:
         dc, parities = _derivative_multiplier(s.coeffs, grid.extents, orders)
         cols.append(_eval_series(dc, grid.extents, parities, points))
     return np.stack(cols, axis=1)
-
-
-def gradient(u) -> JacobianField:
-    """Jacobian with columns d_j u, exact for band-limited fields."""
-    s = _as_spectral(u)
-    return JacobianField(s.grid, _jacobian_values(s, s.grid.points))
-
-
-def grad_laplacian(u) -> JacobianField:
-    """nabla(Delta u) = Delta(nabla u): diagonal multiplier then gradient."""
-    s = _as_spectral(u)
-    return JacobianField(s.grid, _jacobian_values(laplacian(s), s.grid.points))
-
-
-# ---------------------------------------------------------------------------
-# Pointwise algebra (column-wise cross/dot conventions).
-# ---------------------------------------------------------------------------
-
-
-def cross(z, A):
-    """z x A pointwise; with a Jacobian, each column is crossed separately."""
-    if isinstance(z, VectorField) and isinstance(A, VectorField):
-        if z.grid != A.grid:
-            raise ValueError("cross: fields live on different grids")
-        return VectorField(z.grid, np.cross(z.data, A.data, axis=0))
-    if isinstance(z, VectorField) and isinstance(A, JacobianField):
-        if z.grid != A.grid:
-            raise ValueError("cross: fields live on different grids")
-        return JacobianField(z.grid, np.cross(z.data[:, None], A.data, axis=0))
-    raise TypeError(f"cross undefined for {type(z).__name__} x {type(A).__name__}")
-
-
-def dot(A, B) -> np.ndarray:
-    """Pointwise contraction: u.v, A:B over columns, or the row vector u.(nabla v)."""
-    if isinstance(A, VectorField) and isinstance(B, VectorField):
-        if A.grid != B.grid:
-            raise ValueError("dot: fields live on different grids")
-        return (A.data * B.data).sum(axis=0)
-    if isinstance(A, JacobianField) and isinstance(B, JacobianField):
-        if A.grid != B.grid:
-            raise ValueError("dot: fields live on different grids")
-        return (A.data * B.data).sum(axis=(0, 1))
-    if isinstance(A, VectorField) and isinstance(B, JacobianField):
-        if A.grid != B.grid:
-            raise ValueError("dot: fields live on different grids")
-        return (A.data[:, None] * B.data).sum(axis=0)
-    raise TypeError(f"dot undefined for {type(A).__name__} . {type(B).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -209,25 +142,6 @@ def delta_cubic_band(s: SpectralField, modes: tuple[int, ...] | None = None) -> 
     w = cubic_laplacian_values(s, grid.padded(tuple(map(max, s.modes, target))))
     coeffs = _transform_series(w, grid.extents, ("cos",) * grid.dim, target)
     return SpectralField(grid, target, coeffs)
-
-
-def nabla_cubic(u: VectorField) -> JacobianField:
-    """Band projection of nabla(|u|^2 u), assembled from the identity form."""
-    s = _as_spectral(u)
-    grid = s.grid
-    W = cubic_gradient_values(s)
-    cols = []
-    for j in range(grid.dim):
-        parities = tuple("sin" if a == j else "cos" for a in range(grid.dim))
-        cj = _transform_series(W[:, j], grid.extents, parities, grid.points)
-        cols.append(_eval_series(cj, grid.extents, parities, grid.points))
-    return JacobianField(grid, np.stack(cols, axis=1))
-
-
-def delta_cubic(u: VectorField) -> VectorField:
-    """Band projection of Delta(|u|^2 u), assembled from the identity form."""
-    s = _as_spectral(u)
-    return inverse(delta_cubic_band(s))
 
 
 # ---------------------------------------------------------------------------

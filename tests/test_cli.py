@@ -258,6 +258,8 @@ def test_run_off_cadence_final_record(tmp_path):
         (["verify-inequalities", "--points", "3", "--modes", "2"], 2, "--points"),
         (["converge", "--bands", "1,3"], 2, "--bands"),
         (["converge", "--dim", "4"], 2, "--dim"),
+        (["converge", "--decay", "-1"], 2, "--decay"),
+        (["depend", "--delta", "inf"], 2, "--delta"),
     ],
 )
 def test_error_paths_print_one_line(tmp_path, capsys, argv, code, detail):
@@ -368,6 +370,49 @@ def test_run_missing_files_exit_io(tmp_path, capsys):
     text = text.replace("value = 1.0, 0.0, 0.0", f"path = {tmp_path}/ghost.snap")
     text = text.replace("directory = out", f"directory = {tmp_path}/out")
     assert cli.main(["run", write_config(tmp_path, text)]) == 5
+
+
+def test_run_truncated_snapshot_exits_io(tmp_path, capsys):
+    snap = tmp_path / "cut.snap"
+    snap.write_bytes(b"LLBR\x01\x00")
+    text = GOOD.replace("kind = constant", "kind = file")
+    text = text.replace("value = 1.0, 0.0, 0.0", f"path = {snap}")
+    text = text.replace("directory = out", f"directory = {tmp_path}/out")
+    assert cli.main(["run", write_config(tmp_path, text)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("llbar: io-error: ") and "truncated" in err, err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "{huge}"],
+        ["run", "{late}"],
+        ["holder", "--amplitude", "1e200"],
+        ["depend", "--amplitude", "1e200"],
+        ["converge", "--amplitude", "1e200", "--bands", "4,8"],
+        ["depend", "--delta", "1e300"],
+    ],
+)
+def test_overflow_is_one_blowup_line(tmp_path, capsys, argv):
+    # overflowing fields exit 3 with one line and no numpy warning; run
+    # writes nothing when a recorded norm overflows (at t = 0 for 1e100,
+    # mid-run for 1e9 under a 1e10 threshold)
+    out = tmp_path / "out"
+    text = GOOD.replace("directory = out", f"directory = {out}")
+    huge = text.replace("value = 1.0, 0.0, 0.0", "value = 1e100, 0.0, 0.0")
+    late = text.replace("value = 1.0, 0.0, 0.0", "value = 1e9, 0.0, 0.0")
+    late = late.replace("t_end = 0.01", "t_end = 0.01\nblowup_threshold = 1e10")
+    paths = {
+        "huge": write_config(tmp_path, huge, "huge.ini"),
+        "late": write_config(tmp_path, late, "late.ini"),
+    }
+    assert cli.main([arg.format(**paths) for arg in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("llbar: blowup: ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_tstar_subcommand(capsys):

@@ -50,7 +50,6 @@ def test_grid_validation():
     assert g.dim == 2
     assert g.padded((8, 16)) == (16, 32)
     assert g.padded((3, 5)) == (6, 10)
-    assert g.cell_volume == pytest.approx(1.0 / 8 * 0.5 / 16)
 
 
 def test_single_mode_evaluates_to_basis_function():
@@ -87,7 +86,7 @@ def test_parseval_identity():
     grid = GridSpec(extents=(1.0, 1.4), points=(16, 12))
     s = fields.random_field(grid, (16, 12), seed=5)
     u = fields.inverse(s)
-    quad = (u.data**2).sum() * grid.cell_volume
+    quad = (u.data**2).sum() * np.prod(np.divide(grid.extents, grid.points))
     coef = (s.coeffs**2).sum()
     assert abs(quad - coef) < 1e-12 * coef, f"Parseval gap {abs(quad - coef)}"
 
@@ -212,6 +211,20 @@ def test_snapshot_rejects_corruption(tmp_path):
     truncated.write_bytes(raw[:-8])
     with pytest.raises(fields.SnapshotError):
         fields.read_snapshot(truncated)
+
+
+@pytest.mark.parametrize("points", [(8,), (8, 6), (4, 6, 5)])
+def test_snapshot_rejects_every_truncated_header(tmp_path, points):
+    # every prefix of the header, and the header without its samples
+    grid = GridSpec(extents=(1.0, 0.75, 1.25)[: len(points)], points=points)
+    path = tmp_path / "x.snap"
+    fields.write_snapshot(path, fields.inverse(fields.random_field(grid, points, seed=5)))
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.snap"
+    for n in range(12 + 12 * len(points) + 1):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(fields.SnapshotError):
+            fields.read_snapshot(cut)
 
 
 @pytest.mark.parametrize(

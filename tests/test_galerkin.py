@@ -1,6 +1,6 @@
-"""Parameter validation and the five Galerkin maps.
+"""Parameter validation, the band projection and the Galerkin right-hand side.
 
-The nonlinear maps are checked three ways: closed-form single-mode
+The nonlinear terms are checked three ways: closed-form single-mode
 references, a quadrature weak form obtained by integrating by parts, and
 the split ``rhs = linear multiplier + remainder`` used by the stepper.
 """
@@ -67,7 +67,7 @@ def test_mode_band_and_projection():
     with pytest.raises(ValueError):
         ModeBand((4, 0))
     band = ModeBand((4, 3))
-    assert band.dim == 2 and band.count == 12
+    assert band.dim == 2
 
     grid = GridSpec(extents=(1.0, 1.0), points=(8, 8))
     s = fields.random_field(grid, (8, 8), seed=1)
@@ -80,28 +80,6 @@ def test_mode_band_and_projection():
     assert np.all(back.coeffs[:, 4:, :] == 0.0)
     with pytest.raises(ValueError):
         galerkin.project(s, ModeBand((16, 16)))
-
-
-def test_f1_f2_are_laplacian_powers():
-    grid = GridSpec(extents=(1.0,), points=(16,))
-    s = fields.random_field(grid, (16,), seed=2)
-    lam = s.eigenvalues
-    np.testing.assert_allclose(galerkin.f1(s).coeffs, -lam * s.coeffs, atol=0)
-    np.testing.assert_allclose(galerkin.f2(s).coeffs, lam**2 * s.coeffs, atol=0)
-
-
-def test_f3_single_mode_closed_form():
-    # e_k^3 = (3/(2L)) e_k + (1/(2L)) e_{3k}
-    L, N, k, a = 1.0, 16, 2, 1.3
-    grid = GridSpec(extents=(L,), points=(N,))
-    coeffs = np.zeros((3, N))
-    coeffs[0, k] = a
-    s = SpectralField(grid=grid, modes=(N,), coeffs=coeffs)
-    c3 = galerkin.f3(s)
-    expected = np.zeros((3, N))
-    expected[0, k] = a**3 * 3.0 / (2.0 * L)
-    expected[0, 3 * k] = a**3 / (2.0 * L)
-    np.testing.assert_allclose(c3.coeffs, expected, atol=1e-12)
 
 
 def test_f4_constant_times_mode_closed_form():
@@ -133,11 +111,11 @@ def test_f5_equals_f1_of_f3():
         s = galerkin.project(
             fields.random_field(grid, points, seed=3, decay=2.0), ModeBand(band)
         )
-        direct = galerkin.f5(s)
-        composed = galerkin.f1(galerkin.f3(s))
+        direct = operators.delta_cubic_band(s)
+        composed = operators.laplacian(operators.cubic_band(s))
         gap = np.abs(direct.coeffs - composed.coeffs).max()
         scale = max(1.0, np.abs(direct.coeffs).max())
-        assert gap < 1e-11 * scale, f"f5 routes differ by {gap} at {band}"
+        assert gap < 1e-11 * scale, f"Lap-cubic routes differ by {gap} at {band}"
 
 
 def test_rhs_weak_form_by_parts():
@@ -178,15 +156,15 @@ def test_rhs_weak_form_by_parts():
 
 def test_rhs_splits_into_linear_and_remainder():
     # rhs(v) = m(k) v + N(v); the remainder N, one shared padded pass,
-    # must match its assembly from the separate maps f3, f4 and f5
+    # must match its assembly from the cubic, precession and Lap-cubic maps
     grid = GridSpec(extents=(1.0,), points=(32,))
     band = ModeBand((20,))
     v = galerkin.project(fields.random_field(grid, (32,), seed=6, decay=2.0), band)
     remainder, linf = galerkin.nonlinear_term(v, PARAMS)
     assembled = (
-        PARAMS.beta3 * (v.coeffs - galerkin.f3(v).coeffs)
+        PARAMS.beta3 * (v.coeffs - operators.cubic_band(v).coeffs)
         - PARAMS.beta4 * galerkin.f4(v).coeffs
-        + PARAMS.beta5 * galerkin.f5(v).coeffs
+        + PARAMS.beta5 * operators.delta_cubic_band(v).coeffs
     )
     gap = np.abs(remainder.coeffs - assembled).max()
     assert gap < 1e-11 * max(1.0, np.abs(assembled).max()), f"split gap {gap}"
