@@ -13,7 +13,7 @@ from .fields import (
     read_snapshot,
     write_snapshot,
 )
-from .galerkin import LLBarParams, ModeBand, derive_beta1, project, rhs
+from .galerkin import LLBarParams, derive_beta1, project, rhs
 from .stepping import (
     BlowupError,
     IntegratorPolicy,
@@ -50,7 +50,6 @@ __all__ = [
     "read_snapshot",
     "write_snapshot",
     "LLBarParams",
-    "ModeBand",
     "derive_beta1",
     "project",
     "rhs",

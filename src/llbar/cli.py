@@ -23,13 +23,15 @@ import math
 import os
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
+from typing import NoReturn
 
 import numpy as np
 
 from . import diagnostics, fields, galerkin, inequalities, operators, stepping
 from .config import ConfigError, build_initial, parse_config
 from .fields import GridSpec, SpectralField
-from .galerkin import LLBarParams, ModeBand
+from .galerkin import LLBarParams
 from .inequalities import SampleSpec
 from .stepping import BlowupError, IntegratorPolicy
 
@@ -73,6 +75,16 @@ def _csv_ints(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(err)) from err
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from err
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
 def _csv_floats(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(","))
@@ -80,7 +92,7 @@ def _csv_floats(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(str(err)) from err
 
 
-def _ensemble_space(dim: int, points: int, modes: int) -> tuple[GridSpec, ModeBand]:
+def _ensemble_space(dim: int, points: int, modes: int) -> tuple[GridSpec, tuple[int, ...]]:
     problems = []
     if dim not in (1, 2, 3):
         problems.append(f"--dim: must be 1, 2 or 3, got {dim}")
@@ -90,7 +102,7 @@ def _ensemble_space(dim: int, points: int, modes: int) -> tuple[GridSpec, ModeBa
         problems.append(f"--modes: band {modes} exceeds {points} grid points")
     if problems:
         raise ConfigError(problems)
-    return _box_grid(dim, points, "--points"), ModeBand((modes,) * dim)
+    return _box_grid(dim, points, "--points"), (modes,) * dim
 
 
 def _box_grid(dim: int, points: int, flag: str) -> GridSpec:
@@ -127,17 +139,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
         text = fh.read()
     cfg = parse_config(text, args.override)
     try:
-        u0 = build_initial(cfg.initial, cfg.grid, cfg.band)
+        u0 = build_initial(cfg.initial, cfg.grid, cfg.modes)
     except ValueError as err:
         raise ConfigError([f"[initial]: {err}"]) from err
     traj = stepping.integrate(
-        u0, cfg.params, cfg.policy, band=cfg.band, cadence=cfg.cadence
+        u0, cfg.params, cfg.policy, modes=cfg.modes, cadence=cfg.cadence
     )
-    try:
-        ledger = diagnostics.EnergyLedger.from_trajectory(traj, params=cfg.params)
-    except ValueError as err:  # a recorded norm overflowed the float range
-        _emit("blowup", f"recorded norms overflowed ({err}); nothing written")
-        return EXIT_BLOWUP
+    while True:
+        try:
+            ledger = diagnostics.EnergyLedger.from_trajectory(traj, params=cfg.params)
+            break
+        except ValueError as err:  # a recorded norm overflowed the float range
+            if not traj.aborted or len(traj) == 1:
+                _emit("blowup", f"recorded norms overflowed ({err}); nothing written")
+                return EXIT_BLOWUP
+            # an aborted run keeps every record before the overflowing ones
+            del traj.times[-1], traj.snapshots[-1]
     os.makedirs(cfg.directory, exist_ok=True)
     ledger.write_csv(os.path.join(cfg.directory, f"{cfg.prefix}_ledger.csv"))
     for i, u in enumerate(traj.snapshots):
@@ -163,13 +180,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _identity_residuals(
-    grid: GridSpec, band: ModeBand, params: LLBarParams, seed: int, index: int
+    grid: GridSpec, modes: tuple[int, ...], params: LLBarParams, seed: int, index: int
 ) -> dict[str, float]:
-    v = fields.random_field(grid, band.modes, seed=seed, index=index, decay=4.0)
+    v = fields.random_field(grid, modes, seed=seed, index=index, decay=4.0)
     coeff_sq = float((v.coeffs**2).sum())
 
     vals = operators.padded_values(v)
-    quad = operators.grid_inner(vals, vals, grid, grid.padded(band.modes))
+    quad = operators.grid_inner(vals, vals, grid, grid.padded(modes))
     parseval = abs(quad - coeff_sq) / max(1.0, coeff_sq)
 
     direct = operators.delta_cubic_band(v)
@@ -207,13 +224,13 @@ def _identity_residuals(
 
 
 def _cmd_verify_identities(args: argparse.Namespace) -> int:
-    grid, band = _ensemble_space(args.dim, args.points, args.modes)
+    grid, modes = _ensemble_space(args.dim, args.points, args.modes)
     if args.count < 1:
         raise ConfigError([f"--count: must be at least 1, got {args.count}"])
     worst: dict[str, tuple[float, int]] = {}
     for index in range(args.count):
         for name, value in _identity_residuals(
-            grid, band, _DEFAULT_PARAMS, args.seed, index
+            grid, modes, _DEFAULT_PARAMS, args.seed, index
         ).items():
             if name not in worst or value > worst[name][0]:
                 worst[name] = (value, index)
@@ -241,9 +258,9 @@ def _cmd_verify_identities(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_inequalities(args: argparse.Namespace) -> int:
-    grid, band = _ensemble_space(args.dim, args.points, args.modes)
+    grid, modes = _ensemble_space(args.dim, args.points, args.modes)
     try:
-        spec = SampleSpec(seed=args.seed, count=args.count, band=band)
+        spec = SampleSpec(seed=args.seed, count=args.count, modes=modes)
     except ValueError as err:
         raise ConfigError([f"--count: {err}"]) from err
     catalogue = inequalities.Catalogue(
@@ -311,16 +328,14 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
     terminals = []
     for b in bands:
-        band = ModeBand((b,) * dim)
         traj = _require_completed(
-            stepping.integrate(u_full, _DEFAULT_PARAMS, policy, band=band)
+            stepping.integrate(u_full, _DEFAULT_PARAMS, policy, modes=(b,) * dim)
         )
         terminals.append(traj.terminal)
 
     diffs = []
     for small, large in zip(terminals, terminals[1:]):
-        padded = fields.pad_to_band(small, large.modes)
-        gap = _coeff_l2(large.coeffs - padded.coeffs)
+        gap = _coeff_l2(large.coeffs - galerkin.project(small, large.modes).coeffs)
         diffs.append(gap)
         print(
             f"bands {small.modes} -> {large.modes}: terminal L2 difference "
@@ -353,7 +368,7 @@ def _cmd_holder(args: argparse.Namespace) -> int:
         raise ConfigError(["--amplitude: must be nonzero; a zero field has no quotients"])
     if not 0.0 < args.exponent < 1.0:
         raise ConfigError([f"--exponent: must lie in (0, 1), got {args.exponent}"])
-    grid, band = _ensemble_space(args.dim, args.points, args.modes)
+    grid, modes = _ensemble_space(args.dim, args.points, args.modes)
     policy = _policy(args)
     n_full, remainder = stepping._step_plan(policy)
     records = 1 + n_full + (1 if remainder else 0)  # every step is recorded
@@ -363,20 +378,11 @@ def _cmd_holder(args: argparse.Namespace) -> int:
             f"density; the quotients need at least "
             f"{diagnostics._HOLDER_MIN_SNAPSHOTS} snapshots in both"
         ])
-    u0 = fields.random_field(
-        grid, band.modes, seed=args.seed, decay=4.0, amplitude=args.amplitude
-    )
+    u0 = fields.random_field(grid, modes, seed=args.seed, decay=4.0, amplitude=args.amplitude)
     traj = _require_completed(
-        stepping.integrate(u0, _DEFAULT_PARAMS, policy, band=band, cadence=1)
+        stepping.integrate(u0, _DEFAULT_PARAMS, policy, modes=modes, cadence=1)
     )
-    thin = stepping.Trajectory(
-        grid=traj.grid,
-        band=traj.band,
-        params=traj.params,
-        policy=traj.policy,
-        times=traj.times[::2],
-        snapshots=traj.snapshots[::2],
-    )
+    thin = replace(traj, times=traj.times[::2], snapshots=traj.snapshots[::2])
     dense = diagnostics.holder_quotient(traj, args.exponent, args.norm)
     sparse = diagnostics.holder_quotient(thin, args.exponent, args.norm)
     change = abs(dense.sup_quotient - sparse.sup_quotient) / dense.sup_quotient
@@ -406,23 +412,17 @@ def _cmd_depend(args: argparse.Namespace) -> int:
         raise ConfigError(
             [f"--delta: perturbation sizes must be positive and finite, got {args.delta}"]
         )
-    grid, band = _ensemble_space(args.dim, args.points, args.modes)
-    u0 = fields.random_field(
-        grid, band.modes, seed=args.seed, decay=4.0, amplitude=args.amplitude
-    )
-    direction = fields.random_field(grid, band.modes, seed=args.seed, index=1)
+    grid, modes = _ensemble_space(args.dim, args.points, args.modes)
+    u0 = fields.random_field(grid, modes, seed=args.seed, decay=4.0, amplitude=args.amplitude)
+    direction = fields.random_field(grid, modes, seed=args.seed, index=1)
     unit = direction.coeffs / _coeff_l2(direction.coeffs)
     policy = _policy(args)
 
     reports = []
     for delta in args.delta:
-        v0 = SpectralField(
-            grid=grid, modes=band.modes, coeffs=u0.coeffs + delta * unit
-        )
+        v0 = SpectralField(grid=grid, modes=modes, coeffs=u0.coeffs + delta * unit)
         reports.append(
-            diagnostics.continuous_dependence(
-                u0, v0, _DEFAULT_PARAMS, policy, band=band
-            )
+            diagnostics.continuous_dependence(u0, v0, _DEFAULT_PARAMS, policy, modes=modes)
         )
     merged = diagnostics.DependenceReport.merge(reports)
 
@@ -483,8 +483,16 @@ def _add_ensemble_flags(p: argparse.ArgumentParser, dim: int, points: int, modes
         p.add_argument("--count", type=int, default=count, help="number of draws")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Turns a bad command line into a one-line ``ConfigError``; subparsers inherit it."""
+
+    def error(self, message: str) -> NoReturn:
+        command = self.prog.partition(" ")[2]
+        raise ConfigError([f"{command}: {message}" if command else message])
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="llbar",
         description="Spectral Galerkin solver and verification suite for a "
         "sixth-order damped micromagnetic flow.",
@@ -522,8 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--initial", default="random", help="'random' or 'constant'")
-    p.add_argument("--decay", type=float, default=4.0, help="spectral decay of the draw")
-    p.add_argument("--amplitude", type=float, default=0.8)
+    p.add_argument("--decay", type=_finite_float, default=4.0, help="spectral decay of the draw")
+    p.add_argument("--amplitude", type=_finite_float, default=0.8)
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("holder", help="Hoelder quotients along a trajectory")
@@ -532,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm", default="L2", choices=("L2", "Linf"))
     p.add_argument("--tend", type=float, default=0.1)
     p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--amplitude", type=float, default=0.8)
+    p.add_argument("--amplitude", type=_finite_float, default=0.8)
     p.set_defaults(func=_cmd_holder)
 
     p = sub.add_parser("depend", help="continuous dependence on initial data")
@@ -543,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--tend", type=float, default=0.1)
     p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--amplitude", type=float, default=0.8)
+    p.add_argument("--amplitude", type=_finite_float, default=0.8)
     p.set_defaults(func=_cmd_depend)
 
     p = sub.add_parser("tstar", help="blow-up time lower bound")
@@ -555,10 +563,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     # overflow turns into inf/nan, which the commands report as a blow-up
     # or a violation; numpy's warnings would break the one-line contract
     try:
+        args = build_parser().parse_args(argv)
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
     except ConfigError as err:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fields
 from .fields import GridSpec, SpectralField
-from .galerkin import LLBarParams, ModeBand, project
+from .galerkin import LLBarParams, project
 from .operators import padded_values
 from .stepping import IntegratorPolicy
 
@@ -77,12 +77,17 @@ class InitialSpec:
             raise ValueError(
                 f"kind must be one of {', '.join(INITIAL_KINDS)}, got {self.kind!r}"
             )
+        numbers = ("value", "amplitude", "direction", "decay", "normalize_linf")
+        given = {name: getattr(self, name) for name in numbers}
+        bad = [f"{k} = {v}" for k, v in given.items() if v is not None and not np.isfinite(v).all()]
+        if bad:
+            raise ValueError(f"must be finite: {', '.join(bad)}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     grid: GridSpec
-    band: ModeBand
+    modes: tuple[int, ...]
     params: LLBarParams
     policy: IntegratorPolicy
     initial: InitialSpec
@@ -193,20 +198,13 @@ def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
             grid = GridSpec(extents=extents, points=points, dealias_pad=pad)
         except ValueError as err:
             col.complain("grid", None, str(err))
-    band = None
     if grid is not None:
-        try:
-            band = ModeBand(modes if modes is not None else grid.points)
-            for j, (m, n) in enumerate(zip(band.modes, grid.points)):
-                if m > n:
-                    col.complain(
-                        "grid", "modes",
-                        f"band of {m} modes exceeds {n} points along axis {j}",
-                    )
-            if band.dim != grid.dim:
-                col.complain("grid", "modes", "band rank must match the grid")
-        except ValueError as err:
-            col.complain("grid", "modes", str(err))
+        modes = grid.points if modes is None else modes
+        if len(modes) != grid.dim:
+            col.complain("grid", "modes", f"{len(modes)} counts for a {grid.dim}-d grid")
+        for j, (m, n) in enumerate(zip(modes, grid.points)):
+            if not 1 <= m <= n:
+                col.complain("grid", "modes", f"{m} modes along axis {j}, outside [1, {n}]")
 
     given_betas = [k for k in _BETA_KEYS if "params" in raw and k in raw["params"]]
     given_phys = [k for k in _PHYSICAL_KEYS if "params" in raw and k in raw["params"]]
@@ -301,7 +299,7 @@ def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
         raise ConfigError(col.problems)
     return RunConfig(
         grid=grid,
-        band=band,
+        modes=modes,
         params=params,
         policy=policy,
         initial=initial,
@@ -311,9 +309,9 @@ def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
     )
 
 
-def build_initial(spec: InitialSpec, grid: GridSpec, band: ModeBand) -> SpectralField:
-    """Realize an initial-condition preset as a band coefficient field."""
-    coeffs = np.zeros((3,) + band.modes)
+def build_initial(spec: InitialSpec, grid: GridSpec, modes: tuple[int, ...]) -> SpectralField:
+    """Realize an initial-condition preset as a coefficient field on ``modes``."""
+    coeffs = np.zeros((3,) + modes)
     if spec.kind == "constant":
         zero = (0,) * grid.dim
         weight = float(np.sqrt(np.prod(grid.extents)))
@@ -324,9 +322,9 @@ def build_initial(spec: InitialSpec, grid: GridSpec, band: ModeBand) -> Spectral
             raise ValueError(
                 f"mode has {len(spec.mode)} indices for a {grid.dim}-d grid"
             )
-        if any(not 0 <= k < m for k, m in zip(spec.mode, band.modes)):
+        if any(not 0 <= k < m for k, m in zip(spec.mode, modes)):
             raise ValueError(
-                f"mode {spec.mode} lies outside the retained band {band.modes}"
+                f"mode {spec.mode} lies outside the retained band {modes}"
             )
         direction = np.asarray(
             spec.direction if spec.direction is not None else (1.0, 0.0, 0.0)
@@ -337,7 +335,7 @@ def build_initial(spec: InitialSpec, grid: GridSpec, band: ModeBand) -> Spectral
         coeffs[(slice(None), *spec.mode)] = spec.amplitude * direction / length
     elif spec.kind == "random_band":
         drawn = fields.random_field(
-            grid, band.modes, seed=spec.seed,
+            grid, modes, seed=spec.seed,
             decay=spec.decay, amplitude=spec.amplitude,
         )
         coeffs = drawn.coeffs
@@ -350,15 +348,15 @@ def build_initial(spec: InitialSpec, grid: GridSpec, band: ModeBand) -> Spectral
                 f"snapshot grid {u.grid.points}/{u.grid.extents} does not "
                 f"match the configured grid {grid.points}/{grid.extents}"
             )
-        coeffs = project(fields.forward(u), band).coeffs
-    field = SpectralField(grid=grid, modes=band.modes, coeffs=coeffs)
+        coeffs = project(fields.forward(u), modes).coeffs
+    field = SpectralField(grid=grid, modes=modes, coeffs=coeffs)
     if spec.normalize_linf is not None:
         vals = padded_values(field)
         current = float(np.sqrt((vals**2).sum(axis=0).max()))
         if current <= 0.0:
             raise ValueError("cannot normalize a vanishing field")
         field = SpectralField(
-            grid=grid, modes=band.modes,
+            grid=grid, modes=modes,
             coeffs=field.coeffs * (spec.normalize_linf / current),
         )
     return field

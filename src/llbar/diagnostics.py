@@ -342,7 +342,7 @@ def weak_residual(traj: Trajectory, phi: VectorField | SpectralField) -> np.ndar
     if phi_s.grid != traj.grid:
         raise ValueError("test function must live on the trajectory grid")
     total = float(np.sqrt((phi_s.coeffs**2).sum()))
-    projected = galerkin.project(phi_s, traj.band)
+    projected = galerkin.project(phi_s, traj.modes)
     kept = float(np.sqrt((projected.coeffs**2).sum()))
     if total > 0.0 and abs(total - kept) > 1e-10 * total:
         raise ValueError(
@@ -503,7 +503,7 @@ def continuous_dependence(
     v0: VectorField | SpectralField,
     params: LLBarParams,
     policy: IntegratorPolicy,
-    band: galerkin.ModeBand | None = None,
+    modes: tuple[int, ...] | None = None,
     cadence: int = 1,
 ) -> DependenceReport:
     """Run both initial data and compare terminal separation to the
@@ -513,8 +513,8 @@ def continuous_dependence(
     sqrt(factor) times the initial separation; it is recorded, not
     asserted against a constant.
     """
-    traj_u = integrate(u0, params, policy, band=band, cadence=cadence)
-    traj_v = integrate(v0, params, policy, band=traj_u.band, cadence=cadence)
+    traj_u = integrate(u0, params, policy, modes=modes, cadence=cadence)
+    traj_v = integrate(v0, params, policy, modes=traj_u.modes, cadence=cadence)
     for traj in (traj_u, traj_v):
         if traj.aborted:
             raise BlowupError(*traj.blowup)

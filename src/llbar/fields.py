@@ -143,7 +143,9 @@ class SpectralField:
     """Cosine-basis coefficients of a vector field on a retained mode band.
 
     coeffs[component, k1, ..., kd] multiplies the orthonormal basis function
-    e_k, so sum(coeffs**2) is exactly the squared L2 norm.
+    e_k, so sum(coeffs**2) is exactly the squared L2 norm.  A band is just
+    this ``modes`` tuple, and this is the one place it is checked against
+    the grid: one count per axis, each in ``[1, points]``.
     """
 
     grid: GridSpec
@@ -433,17 +435,6 @@ def inverse(s: SpectralField) -> VectorField:
     all_cos = ("cos",) * grid.dim
     values = _eval_series(s.coeffs, grid.extents, all_cos, grid.points)
     return VectorField(grid, values)
-
-
-def pad_to_band(s: SpectralField, modes: tuple[int, ...]) -> SpectralField:
-    """Embed a spectral field into a larger (or equal) mode band by zero fill."""
-    pad_width = [(0, 0)] + [
-        (0, Mt - Ms) for Ms, Mt in zip(s.modes, modes)
-    ]
-    for Ms, Mt in zip(s.modes, modes):
-        if Mt < Ms:
-            raise ValueError(f"target band {modes} smaller than source {s.modes}")
-    return SpectralField(s.grid, tuple(modes), np.pad(s.coeffs, pad_width))
 
 
 # ---------------------------------------------------------------------------

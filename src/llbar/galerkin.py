@@ -27,7 +27,6 @@ from .fields import GridSpec, SpectralField
 
 __all__ = [
     "LLBarParams",
-    "ModeBand",
     "derive_beta1",
     "project",
     "f4",
@@ -136,38 +135,13 @@ class LLBarParams:
         )
 
 
-@dataclass(frozen=True)
-class ModeBand:
-    """Retained cosine modes per axis."""
-
-    modes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        modes = tuple(int(m) for m in self.modes)
-        if not 1 <= len(modes) <= 3:
-            raise ValueError(f"band must cover 1..3 axes, got {len(modes)}")
-        if any(m < 1 for m in modes):
-            raise ValueError(f"each axis needs at least one mode, got {modes}")
-        object.__setattr__(self, "modes", modes)
-
-    @property
-    def dim(self) -> int:
-        return len(self.modes)
-
-
-def project(v: SpectralField, band: ModeBand) -> SpectralField:
-    """Orthogonal projection onto the retained band (truncate, zero-fill)."""
-    if band.dim != v.grid.dim:
-        raise ValueError(f"band has {band.dim} axes, field has {v.grid.dim}")
-    for j, (m, n) in enumerate(zip(band.modes, v.grid.points)):
-        if m > n:
-            raise ValueError(
-                f"band of {m} modes exceeds the {n}-point grid along axis {j}"
-            )
-    out = np.zeros((3,) + band.modes)
-    keep = tuple(slice(0, min(m, b)) for m, b in zip(v.modes, band.modes))
-    out[(slice(None),) + keep] = v.coeffs[(slice(None),) + keep]
-    return SpectralField(grid=v.grid, modes=band.modes, coeffs=out)
+def project(v: SpectralField, modes: tuple[int, ...]) -> SpectralField:
+    """Orthogonal projection onto the first ``modes`` per axis (truncate,
+    zero-fill); ``SpectralField`` checks ``modes`` against the grid."""
+    out = SpectralField(grid=v.grid, modes=modes, coeffs=np.zeros((3, *modes)))
+    keep = tuple(slice(0, min(m, b)) for m, b in zip(v.modes, out.modes))
+    out.coeffs[(slice(None),) + keep] = v.coeffs[(slice(None),) + keep]
+    return out
 
 
 def f4(v: SpectralField) -> SpectralField:
@@ -183,23 +157,20 @@ def f4(v: SpectralField) -> SpectralField:
 
 def rhs(v: SpectralField, params: LLBarParams) -> SpectralField:
     """Full Galerkin right-hand side at ``v``: ``m(k) v + nonlinear_term(v)``."""
-    lam = v.eigenvalues
-    linear = (-params.beta1 * lam - params.beta2 * lam * lam)[None] * v.coeffs
+    linear = rhs_linear_factor(v.grid, v.modes, params)[None] * v.coeffs
     remainder, _ = nonlinear_term(v, params)
     return SpectralField(grid=v.grid, modes=v.modes, coeffs=linear + remainder.coeffs)
 
 
 def rhs_linear_factor(
-    grid: GridSpec, band: ModeBand, params: LLBarParams
+    grid: GridSpec, modes: tuple[int, ...], params: LLBarParams
 ) -> np.ndarray:
     """Diagonal symbol ``m(k) = -beta1*lambda(k) - beta2*lambda(k)^2``.
 
-    Shape matches ``band.modes``; broadcast against the leading component
-    axis of a coefficient array.
+    Shape ``modes``; broadcast against the leading component axis of a
+    coefficient array.
     """
-    if band.dim != grid.dim:
-        raise ValueError(f"band has {band.dim} axes, grid has {grid.dim}")
-    lam = fields.eigenvalue_array(grid, band.modes)
+    lam = fields.eigenvalue_array(grid, modes)
     return -params.beta1 * lam - params.beta2 * lam * lam
 
 

@@ -33,7 +33,6 @@ import numpy as np
 
 from . import fields
 from .fields import GridSpec, SpectralField
-from .galerkin import ModeBand
 
 __all__ = [
     "SampleSpec",
@@ -65,11 +64,12 @@ REPORT_HEADER = "inequality,max_ratio,median_ratio,violations,witness_seed"
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """Deterministic description of a random-field ensemble."""
+    """Deterministic description of a random-field ensemble: ``count``
+    draws keyed by ``seed`` on the first ``modes`` per axis."""
 
     seed: int
     count: int
-    band: ModeBand
+    modes: tuple[int, ...]
     amplitude_law: str = "flat"
     decay: float = 0.0
 
@@ -106,7 +106,7 @@ class RatioReport:
 def draw_sample(grid: GridSpec, spec: SampleSpec, index: int) -> SpectralField:
     decay = spec.decay if spec.amplitude_law == "decay" else 0.0
     return fields.random_field(
-        grid, spec.band.modes, seed=spec.seed, index=index, decay=decay
+        grid, spec.modes, seed=spec.seed, index=index, decay=decay
     )
 
 

@@ -19,7 +19,7 @@ trajectories are bitwise reproducible regardless of restart points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import fields, galerkin
 from .fields import GridSpec, SpectralField
-from .galerkin import LLBarParams, ModeBand
+from .galerkin import LLBarParams
 
 __all__ = [
     "SCHEMES",
@@ -143,7 +143,7 @@ class BlowupError(RuntimeError):
 def _etdrk2_tables(
     grid: GridSpec, modes: tuple[int, ...], params: LLBarParams, dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    m = galerkin.rhs_linear_factor(grid, ModeBand(modes), params)
+    m = galerkin.rhs_linear_factor(grid, modes, params)
     z = dt * m
     return np.exp(z), dt * phi1(z), dt * phi2(z)
 
@@ -152,7 +152,7 @@ def _etdrk2_tables(
 def _imex_tables(
     grid: GridSpec, modes: tuple[int, ...], params: LLBarParams, dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    m = galerkin.rhs_linear_factor(grid, ModeBand(modes), params)
+    m = galerkin.rhs_linear_factor(grid, modes, params)
     euler_denom = 1.0 - dt * m
     cn_num = 1.0 + 0.5 * dt * m
     cn_denom = 1.0 - 0.5 * dt * m
@@ -207,14 +207,15 @@ def step(
 class Trajectory:
     """Snapshots of one integration at a fixed step cadence.
 
-    ``times[0]`` is always the initial instant; the final step is recorded
-    even when it does not land on the cadence.  ``aborted`` flags a blow-up
-    stop, in which case everything recorded up to the abort is retained and
+    ``modes`` is the retained band every snapshot lives on.  ``times[0]``
+    is always the initial instant; the final step is recorded even when it
+    does not land on the cadence.  ``aborted`` flags a blow-up stop, in
+    which case everything recorded up to the abort is retained and
     ``blowup`` holds the offending (t, norm) pair.
     """
 
     grid: GridSpec
-    band: ModeBand
+    modes: tuple[int, ...]
     params: LLBarParams
     policy: IntegratorPolicy
     times: list[float] = field(default_factory=list)
@@ -249,13 +250,14 @@ def integrate(
     u0: fields.VectorField | SpectralField,
     params: LLBarParams,
     policy: IntegratorPolicy,
-    band: ModeBand | None = None,
+    modes: tuple[int, ...] | None = None,
     cadence: int = 1,
     monitor: Callable[[float, SpectralField], None] | None = None,
 ) -> Trajectory:
     """March ``u0`` to ``policy.t_end`` recording every ``cadence``-th step.
 
-    Vector-field data is truncated spectrally onto the retained band first.
+    The data is first projected onto ``modes`` (truncated or zero-filled;
+    default: the field's own modes, all of the grid for vector-field data).
     When ``t_end`` is not a step multiple, a single shorter final step
     closes the gap.  A blow-up stops the march and returns the partial
     trajectory with ``aborted`` set instead of propagating the error.
@@ -268,14 +270,12 @@ def integrate(
         s = u0
     else:
         raise TypeError(f"cannot integrate initial data of type {type(u0).__name__}")
-    if band is None:
-        band = ModeBand(s.modes)
-    s = galerkin.project(s, band)
+    s = galerkin.project(s, s.modes if modes is None else modes)
 
     n_full, remainder = _step_plan(policy)
     total = n_full + (1 if remainder else 0)
 
-    traj = Trajectory(grid=s.grid, band=band, params=params, policy=policy)
+    traj = Trajectory(grid=s.grid, modes=s.modes, params=params, policy=policy)
 
     def record(t: float, u: SpectralField) -> None:
         traj.times.append(t)
@@ -293,19 +293,8 @@ def integrate(
             ):
                 record(state.t, state.u)
         if remainder:
-            short = IntegratorPolicy(
-                dt=remainder,
-                t_end=remainder,
-                scheme=policy.scheme,
-                max_steps=policy.max_steps,
-                blowup_threshold=policy.blowup_threshold,
-            )
-            state = SolverState(
-                t=state.t,
-                u=state.u,
-                step_index=0,
-                prev_nonlinear=None,
-            )
+            short = replace(policy, dt=remainder, t_end=remainder)
+            state = replace(state, step_index=0, prev_nonlinear=None)
             state = step(state, params, short)
         if total > 0:
             record(policy.t_end, state.u)

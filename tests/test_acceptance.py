@@ -15,10 +15,10 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate as sci_integrate
 
-from llbar import cli, diagnostics, fields, inequalities, operators, stepping
+from llbar import cli, diagnostics, fields, galerkin, inequalities, operators, stepping
 from llbar.diagnostics import EnergyLedger
 from llbar.fields import GridSpec, SpectralField
-from llbar.galerkin import LLBarParams, ModeBand
+from llbar.galerkin import LLBarParams
 from llbar.inequalities import SampleSpec
 from llbar.stepping import IntegratorPolicy, Trajectory
 
@@ -121,7 +121,7 @@ def test_criterion_04_interpolation_pair_on_thousand_draws():
     worst = 0.0
     for dim, modes, pts in ((1, 16, 32), (2, 8, 16), (3, 6, 12)):
         grid = GridSpec(extents=BOX[:dim], points=(pts,) * dim)
-        spec = SampleSpec(seed=0, count=1000, band=ModeBand((modes,) * dim))
+        spec = SampleSpec(seed=0, count=1000, modes=(modes,) * dim)
         for rep in inequalities.check_interp(grid, spec):
             assert rep.violations == 0, (
                 f"d={dim} {rep.inequality}: ratio {rep.max_ratio} "
@@ -159,13 +159,13 @@ def test_criterion_05_band_doubling_convergence():
         terminals = []
         for b in (8, 16, 32):
             traj = stepping.integrate(
-                u_full, PARAMS, policy, band=ModeBand((b,) * dim)
+                u_full, PARAMS, policy, modes=(b,) * dim
             )
             assert not traj.aborted
             terminals.append(traj.terminal)
         gaps = []
         for small, large in zip(terminals, terminals[1:]):
-            padded = fields.pad_to_band(small, large.modes)
+            padded = galerkin.project(small, large.modes)
             gaps.append(coeff_l2(large.coeffs - padded.coeffs))
         factor = gaps[0] / gaps[1]
         assert factor >= 10.0, (
@@ -200,11 +200,11 @@ def test_criterion_07_holder_quotients_stable():
     u0 = fields.random_field(grid, (8, 8), seed=0, decay=4.0, amplitude=0.8)
     traj = stepping.integrate(
         u0, PARAMS, IntegratorPolicy(dt=1e-3, t_end=0.1),
-        band=ModeBand((8, 8)), cadence=1,
+        modes=(8, 8), cadence=1,
     )
     assert not traj.aborted
     thin = Trajectory(
-        grid=traj.grid, band=traj.band, params=traj.params, policy=traj.policy,
+        grid=traj.grid, modes=traj.modes, params=traj.params, policy=traj.policy,
         times=traj.times[::2], snapshots=traj.snapshots[::2],
     )
     lines = []
@@ -223,18 +223,18 @@ def test_criterion_07_holder_quotients_stable():
 
 def test_criterion_08_continuous_dependence_envelope():
     grid = GridSpec(extents=BOX[:2], points=(16, 16))
-    band = ModeBand((8, 8))
-    u0 = fields.random_field(grid, band.modes, seed=0, decay=4.0, amplitude=0.8)
-    direction = fields.random_field(grid, band.modes, seed=0, index=1)
+    modes = (8, 8)
+    u0 = fields.random_field(grid, modes, seed=0, decay=4.0, amplitude=0.8)
+    direction = fields.random_field(grid, modes, seed=0, index=1)
     unit = direction.coeffs / coeff_l2(direction.coeffs)
     policy = IntegratorPolicy(dt=1e-3, t_end=0.1)
     reports = []
     for delta in (1e-3, 1e-4, 1e-5):
         v0 = SpectralField(
-            grid=grid, modes=band.modes, coeffs=u0.coeffs + delta * unit
+            grid=grid, modes=modes, coeffs=u0.coeffs + delta * unit
         )
         reports.append(
-            diagnostics.continuous_dependence(u0, v0, PARAMS, policy, band=band)
+            diagnostics.continuous_dependence(u0, v0, PARAMS, policy, modes=modes)
         )
     merged = diagnostics.DependenceReport.merge(reports)
     ratios = [g / d for d, g in zip(merged.deltas, merged.terminal_diffs)]

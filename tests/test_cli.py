@@ -15,7 +15,7 @@ import pytest
 from llbar import cli, config, diagnostics, fields, inequalities, stepping
 from llbar.config import ConfigError, InitialSpec, build_initial, parse_config
 from llbar.fields import GridSpec
-from llbar.galerkin import LLBarParams, ModeBand
+from llbar.galerkin import LLBarParams
 
 GOOD = textwrap.dedent(
     """\
@@ -44,10 +44,21 @@ GOOD = textwrap.dedent(
 )
 
 
+@pytest.mark.parametrize("modes", ["4, 4", "0", "9"])
+def test_grid_modes_are_checked_against_the_grid(tmp_path, capsys, modes):
+    text = GOOD.replace("points = 8", f"points = 8\nmodes = {modes}")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert any(p.startswith("[grid] modes") for p in err.value.problems), err.value.problems
+    assert cli.main(["run", write_config(tmp_path, text)]) == 2
+    line = capsys.readouterr().err
+    assert line.startswith("llbar: config-error: [grid] modes") and line.count("\n") == 1, line
+
+
 def test_parse_config_defaults():
     cfg = parse_config(GOOD)
     assert cfg.grid.dealias_pad == 2
-    assert cfg.band.modes == (8,)  # band defaults to the grid
+    assert cfg.modes == (8,)  # band defaults to the grid
     assert cfg.policy.scheme == "ETDRK2"
     assert cfg.cadence == 1
     assert cfg.prefix == "state"
@@ -121,7 +132,7 @@ def test_overrides_change_and_complain():
 
 def test_build_initial_constant_and_eigenmode():
     grid = GridSpec(extents=(1.0, 2.0), points=(8, 8))
-    band = ModeBand((8, 8))
+    band = (8, 8)
     u = build_initial(
         InitialSpec(kind="constant", value=(0.3, -0.2, 0.1)), grid, band
     )
@@ -153,25 +164,25 @@ def test_build_initial_file_round_trip(tmp_path):
     path = tmp_path / "u.snap"
     fields.write_snapshot(path, fields.inverse(u))
 
-    got = build_initial(InitialSpec(kind="file", path=str(path)), grid, ModeBand((16,)))
+    got = build_initial(InitialSpec(kind="file", path=str(path)), grid, (16,))
     assert np.allclose(got.coeffs, u.coeffs, atol=1e-13)
     # narrower band keeps the leading block only
-    cut = build_initial(InitialSpec(kind="file", path=str(path)), grid, ModeBand((8,)))
+    cut = build_initial(InitialSpec(kind="file", path=str(path)), grid, (8,))
     assert np.allclose(cut.coeffs, u.coeffs[:, :8], atol=1e-13)
 
     other = GridSpec(extents=(2.0,), points=(16,))
     with pytest.raises(ValueError, match="does not"):
-        build_initial(InitialSpec(kind="file", path=str(path)), other, ModeBand((16,)))
+        build_initial(InitialSpec(kind="file", path=str(path)), other, (16,))
 
 
 def test_build_initial_normalize_linf():
     grid = GridSpec(extents=(1.0,), points=(16,))
     spec = InitialSpec(kind="random_band", seed=3, decay=2.0, normalize_linf=0.5)
-    u = build_initial(spec, grid, ModeBand((16,)))
+    u = build_initial(spec, grid, (16,))
     assert diagnostics.norms(u).Linf == pytest.approx(0.5, rel=1e-12)
     zero = InitialSpec(kind="constant", value=(0.0, 0.0, 0.0), normalize_linf=1.0)
     with pytest.raises(ValueError, match="vanishing"):
-        build_initial(zero, grid, ModeBand((16,)))
+        build_initial(zero, grid, (16,))
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -260,12 +271,34 @@ def test_run_off_cadence_final_record(tmp_path):
         (["converge", "--dim", "4"], 2, "--dim"),
         (["converge", "--decay", "-1"], 2, "--decay"),
         (["depend", "--delta", "inf"], 2, "--delta"),
+        (["run", "{good}", "--override", "initial.amplitude=nan"], 2, "[initial]: must be finite: amplitude"),
+        (["run", "{good}", "--override", "initial.amplitude=inf"], 2, "[initial]: must be finite: amplitude"),
+        (["run", "{good}", "--override", "initial.normalize_linf=nan"], 2, "normalize_linf = nan"),
+        (["run", "{good}", "--override", "initial.normalize_linf=inf"], 2, "normalize_linf = inf"),
+        (["run", "{good}", "--override", "initial.value=nan, 0, 0"], 2, "[initial]: must be finite: value"),
+        (["run", "{good}", "--override", "initial.direction=nan, 0, 0"], 2, "direction"),
+        (["run", "{good}", "--override", "initial.decay=nan"], 2, "decay = nan"),
+        (["run", "{good}", "--override", "initial.decay=inf"], 2, "decay = inf"),
+        (["holder", "--amplitude", "nan"], 2, "--amplitude"),
+        (["holder", "--amplitude", "inf"], 2, "--amplitude"),
+        (["depend", "--amplitude", "nan"], 2, "--amplitude"),
+        (["converge", "--amplitude", "nan"], 2, "--amplitude"),
+        (["converge", "--amplitude", "inf"], 2, "--amplitude"),
+        (["converge", "--decay", "inf"], 2, "--decay"),
+        (["bogus"], 2, "invalid choice"),
+        (["run"], 2, "config"),
+        (["holder", "--dim", "x"], 2, "--dim"),
+        ([], 2, "command"),
+        (["converge", "--bands", "4,x"], 2, "--bands"),
     ],
 )
 def test_error_paths_print_one_line(tmp_path, capsys, argv, code, detail):
     overflow = write_config(tmp_path, GOOD.replace("points = 8", "points = 1e400"))
     long = write_config(tmp_path, GOOD.replace("t_end = 0.01", "t_end = 1001"), "long.ini")
-    argv = [arg.format(overflow=overflow, long=long) for arg in argv]
+    good = write_config(
+        tmp_path, GOOD.replace("directory = out", f"directory = {tmp_path}/out"), "good.ini"
+    )
+    argv = [arg.format(overflow=overflow, long=long, good=good) for arg in argv]
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     label = {2: "config-error", 3: "blowup"}[code]
@@ -398,8 +431,8 @@ def test_run_truncated_snapshot_exits_io(tmp_path, capsys):
 )
 def test_overflow_is_one_blowup_line(tmp_path, capsys, argv):
     # overflowing fields exit 3 with one line and no numpy warning; run
-    # writes nothing when a recorded norm overflows (at t = 0 for 1e100,
-    # mid-run for 1e9 under a 1e10 threshold)
+    # writes nothing when the t = 0 record overflows (1e100) and keeps the
+    # finite records before a mid-run overflow (1e9 under a 1e10 threshold)
     out = tmp_path / "out"
     text = GOOD.replace("directory = out", f"directory = {out}")
     huge = text.replace("value = 1.0, 0.0, 0.0", "value = 1e100, 0.0, 0.0")
@@ -412,7 +445,12 @@ def test_overflow_is_one_blowup_line(tmp_path, capsys, argv):
     assert cli.main([arg.format(**paths) for arg in argv]) == 3
     err = capsys.readouterr().err
     assert err.startswith("llbar: blowup: ") and err.count("\n") == 1, err
-    assert not out.exists()
+    if argv == ["run", "{late}"]:
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["state_000000.snap", "state_ledger.csv"], names
+        assert len((out / "state_ledger.csv").read_text().splitlines()) == 2
+    else:
+        assert not out.exists()
 
 
 def test_tstar_subcommand(capsys):

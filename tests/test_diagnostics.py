@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from llbar import diagnostics, fields, stepping
 from llbar.diagnostics import EnergyLedger, NormSuite
 from llbar.fields import GridSpec, SpectralField
-from llbar.galerkin import LLBarParams, ModeBand
+from llbar.galerkin import LLBarParams
 from llbar.stepping import IntegratorPolicy, Trajectory
 
 PARAMS = LLBarParams(0.4, 0.01, 1.2, 0.7, 0.25)
@@ -231,7 +231,7 @@ def test_weak_residual_rejects_out_of_band_test_function():
     grid = GridSpec(extents=(1.0,), points=(32,))
     u0 = fields.random_field(grid, (32,), **SMOOTH)
     traj = stepping.integrate(
-        u0, PARAMS, IntegratorPolicy(dt=1e-2, t_end=0.03), band=ModeBand((8,))
+        u0, PARAMS, IntegratorPolicy(dt=1e-2, t_end=0.03), modes=(8,)
     )
     phi = fields.random_field(grid, (32,), seed=22)  # spills past mode 8
     with pytest.raises(ValueError, match="band"):
@@ -245,7 +245,7 @@ def test_apriori_monitor_band_stability():
         u0 = fields.random_field(grid, (32,), **SMOOTH)
         traj = stepping.integrate(
             u0, PARAMS, IntegratorPolicy(dt=2e-3, t_end=0.1),
-            band=ModeBand((points // 2,)), cadence=5,
+            modes=(points // 2,), cadence=5,
         )
         ledgers.append(EnergyLedger.from_trajectory(traj, PARAMS))
     for r in (0, 1):
@@ -308,7 +308,7 @@ def test_bihari_general_satisfies_fixed_point():
 def synthetic_trajectory(times, snapshots, grid):
     return Trajectory(
         grid=grid,
-        band=ModeBand(snapshots[0].modes),
+        modes=snapshots[0].modes,
         params=PARAMS,
         policy=IntegratorPolicy(dt=1.0, t_end=times[-1] if times[-1] > 0 else 1.0),
         times=list(times),

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from llbar import fields
+from llbar import fields, galerkin
 from llbar.fields import GridSpec, SpectralField, VectorField
 
 
@@ -134,15 +134,17 @@ def test_padded_evaluation_is_same_function():
 
 
 def test_pad_to_band_preserves_coefficients():
+    # galerkin.project zero-fills into a larger band and truncates into a smaller one
     grid = GridSpec(extents=(1.0, 1.0), points=(12, 12))
     s = fields.random_field(grid, (6, 5), seed=9)
-    padded = fields.pad_to_band(s, (12, 12))
+    padded = galerkin.project(s, (12, 12))
     assert padded.modes == (12, 12)
     np.testing.assert_array_equal(padded.coeffs[:, :6, :5], s.coeffs)
     assert np.all(padded.coeffs[:, 6:, :] == 0.0)
     assert np.all(padded.coeffs[:, :, 5:] == 0.0)
-    with pytest.raises(ValueError):
-        fields.pad_to_band(s, (4, 4))
+    smaller = galerkin.project(s, (4, 4))
+    assert smaller.modes == (4, 4)
+    np.testing.assert_array_equal(smaller.coeffs, s.coeffs[:, :4, :4])
 
 
 def test_random_field_counter_rng():

@@ -14,7 +14,7 @@ import pytest
 
 from llbar import diagnostics, fields, galerkin, operators
 from llbar.fields import GridSpec, SpectralField
-from llbar.galerkin import LLBarParams, ModeBand
+from llbar.galerkin import LLBarParams
 
 
 PARAMS = LLBarParams(0.4, 0.01, 1.2, 0.7, 0.25)
@@ -62,24 +62,21 @@ def test_physical_parameters_all_or_none_and_consistent():
 
 
 def test_mode_band_and_projection():
-    with pytest.raises(ValueError):
-        ModeBand(())
-    with pytest.raises(ValueError):
-        ModeBand((4, 0))
-    band = ModeBand((4, 3))
-    assert band.dim == 2
-
     grid = GridSpec(extents=(1.0, 1.0), points=(8, 8))
     s = fields.random_field(grid, (8, 8), seed=1)
-    p = galerkin.project(s, band)
+    with pytest.raises(ValueError):
+        galerkin.project(s, (4, 0))
+    with pytest.raises(ValueError):
+        galerkin.project(s, (4,))
+    p = galerkin.project(s, (4, 3))
     assert p.modes == (4, 3)
     np.testing.assert_array_equal(p.coeffs, s.coeffs[:, :4, :3])
     # projecting up zero-fills
-    back = galerkin.project(p, ModeBand((8, 8)))
+    back = galerkin.project(p, (8, 8))
     np.testing.assert_array_equal(back.coeffs[:, :4, :3], p.coeffs)
     assert np.all(back.coeffs[:, 4:, :] == 0.0)
     with pytest.raises(ValueError):
-        galerkin.project(s, ModeBand((16, 16)))
+        galerkin.project(s, (16, 16))
 
 
 def test_f4_constant_times_mode_closed_form():
@@ -109,7 +106,7 @@ def test_f5_equals_f1_of_f3():
     ]:
         grid = GridSpec(extents=extents, points=points)
         s = galerkin.project(
-            fields.random_field(grid, points, seed=3, decay=2.0), ModeBand(band)
+            fields.random_field(grid, points, seed=3, decay=2.0), band
         )
         direct = operators.delta_cubic_band(s)
         composed = operators.laplacian(operators.cubic_band(s))
@@ -125,13 +122,13 @@ def test_rhs_weak_form_by_parts():
     #   - b5 <grad(|u|^2 u), grad phi>
     # for every phi in the band; quadratures on the shared padded grid.
     grid = GridSpec(extents=(1.0, 1.1), points=(12, 12))
-    band = ModeBand((8, 8))
+    band = (8, 8)
     u = galerkin.project(fields.random_field(grid, (12, 12), seed=4, decay=3.0), band)
     phi = galerkin.project(fields.random_field(grid, (12, 12), seed=5, decay=3.0), band)
     r = galerkin.rhs(u, PARAMS)
     lhs = float((r.coeffs * phi.coeffs).sum())
 
-    pts = grid.padded(band.modes)
+    pts = grid.padded(band)
     uv = operators.padded_values(u)
     pv = operators.padded_values(phi)
     Ju = operators.padded_jacobian(u)
@@ -158,7 +155,7 @@ def test_rhs_splits_into_linear_and_remainder():
     # rhs(v) = m(k) v + N(v); the remainder N, one shared padded pass,
     # must match its assembly from the cubic, precession and Lap-cubic maps
     grid = GridSpec(extents=(1.0,), points=(32,))
-    band = ModeBand((20,))
+    band = (20,)
     v = galerkin.project(fields.random_field(grid, (32,), seed=6, decay=2.0), band)
     remainder, linf = galerkin.nonlinear_term(v, PARAMS)
     assembled = (

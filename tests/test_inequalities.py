@@ -17,12 +17,11 @@ import pytest
 
 from llbar import inequalities
 from llbar.fields import GridSpec
-from llbar.galerkin import ModeBand
 from llbar.inequalities import Catalogue, SampleSpec
 
 
 def spec_for(band, seed=3, count=8, **kw):
-    return SampleSpec(seed=seed, count=count, band=ModeBand(band), **kw)
+    return SampleSpec(seed=seed, count=count, modes=band, **kw)
 
 
 def test_gn_theta_reproduces_the_seven_exponents():
@@ -60,21 +59,21 @@ def test_gn_theta_rejects_inadmissible_tuples():
 
 
 def test_sample_spec_validation():
-    band = ModeBand((6,))
+    band = (6,)
     with pytest.raises(ValueError, match="count"):
-        SampleSpec(seed=0, count=0, band=band)
+        SampleSpec(seed=0, count=0, modes=band)
     with pytest.raises(ValueError, match="amplitude_law"):
-        SampleSpec(seed=0, count=1, band=band, amplitude_law="spiky")
+        SampleSpec(seed=0, count=1, modes=band, amplitude_law="spiky")
     with pytest.raises(ValueError, match="decay"):
-        SampleSpec(seed=0, count=1, band=band, decay=-1.0)
+        SampleSpec(seed=0, count=1, modes=band, decay=-1.0)
     flat = inequalities.draw_sample(
         GridSpec(extents=(1.0,), points=(8,)),
-        SampleSpec(seed=0, count=1, band=band, decay=3.0),  # flat law: unused
+        SampleSpec(seed=0, count=1, modes=band, decay=3.0),  # flat law: unused
         0,
     )
     plain = inequalities.draw_sample(
         GridSpec(extents=(1.0,), points=(8,)),
-        SampleSpec(seed=0, count=1, band=band),
+        SampleSpec(seed=0, count=1, modes=band),
         0,
     )
     assert np.array_equal(flat.coeffs, plain.coeffs)
