@@ -42,6 +42,11 @@ EXIT_ASSERT = 4
 EXIT_IO = 5
 
 _IDENTITY_TOL = 1e-9
+# Draws per stacked evaluation in verify-identities.  At d=2 16/8 a block
+# of 6 peaks at about 0.55 MB of temporaries, below what verify-inequalities
+# peaks at; blocks of 8 or more ran at most 10% faster but raised the peak
+# resident memory of a process that runs both commands.
+_IDENTITY_BLOCK = 6
 
 # mildly anisotropic box so axis-ordering mistakes cannot cancel out
 _ENSEMBLE_EXTENTS = (1.0, 0.8, 1.2)
@@ -180,39 +185,41 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _identity_residuals(
-    grid: GridSpec, modes: tuple[int, ...], params: LLBarParams, seed: int, index: int
-) -> dict[str, float]:
-    v = fields.random_field(grid, modes, seed=seed, index=index, decay=4.0)
-    coeff_sq = float((v.coeffs**2).sum())
+    grid: GridSpec, modes: tuple[int, ...], params: LLBarParams, coeffs: np.ndarray
+) -> dict[str, np.ndarray]:
+    """The five identity residuals of each draw in a (n, 3, *modes) stack.
 
-    vals = operators.padded_values(v)
-    quad = operators.grid_inner(vals, vals, grid, grid.padded(modes))
-    parseval = abs(quad - coeff_sq) / max(1.0, coeff_sq)
+    One stacked synthesis gives u, Lap u and the Jacobians of both, and
+    every residual but one is an array expression over the stack;
+    ``l2_balance`` pairs each draw with ``galerkin.rhs``, the code the
+    steppers run.
+    """
+    vol, lam = grid.padded_cell(modes), fields.eigenvalue_array(grid, modes)
+    (u, lap), (ju, jlap) = operators.padded_samples(grid, coeffs)
+    columns = (ju[:, :, j] for j in range(grid.dim))
+    sq = diagnostics._norm_squares(lam, coeffs, u, lap, columns, vol)
+    per_draw = inequalities._per_draw
 
-    direct = operators.delta_cubic_band(v)
-    composed = operators.laplacian(operators.cubic_band(v))
-    routes = _coeff_l2(direct.coeffs - composed.coeffs) / max(
-        1.0, _coeff_l2(direct.coeffs)
+    parseval = abs(vol * per_draw(u * u) - sq["L2"]) / np.maximum(1.0, sq["L2"])
+    square = diagnostics._completed_square(u, ju, jlap, params, vol)
+
+    pointwise = np.concatenate([
+        operators._cubic_laplacian(u, ju, lap), operators._cubic(u), galerkin._precession(u, lap)
+    ], axis=1)
+    projected = fields._transform_series(
+        pointwise.reshape(pointwise.shape[:2] + grid.padded(modes)),
+        grid.extents, ("cos",) * grid.dim, modes,
+    )
+    direct, cubic, cross = np.split(projected, 3, axis=1)
+    routes = np.sqrt(per_draw((direct + lam * cubic) ** 2)) / np.maximum(
+        1.0, np.sqrt(per_draw(direct**2))
     )
 
-    r = galerkin.rhs(v, params)
-    pairing = float((r.coeffs * v.coeffs).sum())
-    suite = diagnostics.norms(v)
-    dissipation = (
-        -params.beta1 * suite.gradL2**2
-        - params.beta2 * suite.deltaL2**2
-        - params.beta3 * suite.L4**4
-        + params.beta3 * suite.L2**2
-        - 2.0 * params.beta5 * suite.uDotGradU**2
-        - params.beta5 * suite.absUabsGradU**2
-    )
-    balance = abs(pairing - dissipation) / max(1.0, abs(pairing), abs(dissipation))
-
-    precession = abs(float((galerkin.f4(v).coeffs * v.coeffs).sum())) / max(
-        1.0, coeff_sq
-    )
-
-    square = diagnostics.completed_square_residual(v, params)
+    pairing = np.array([
+        (galerkin.rhs(SpectralField(grid, modes, c), params).coeffs * c).sum() for c in coeffs
+    ])
+    balance = abs(diagnostics._l2_balance(params, sq, pairing)) / np.maximum(1.0, abs(pairing))
+    precession = abs(per_draw(cross * coeffs)) / np.maximum(1.0, sq["L2"])
 
     return {
         "parseval": parseval,
@@ -223,17 +230,31 @@ def _identity_residuals(
     }
 
 
+def _identity_ensemble(
+    grid: GridSpec, modes: tuple[int, ...], params: LLBarParams, seed: int, count: int
+) -> dict[str, tuple[float, int]]:
+    """Worst residual of each identity over draws 0..count-1 of ``seed``,
+    with the first index that attains it.
+
+    The draws are stacked and evaluated ``_IDENTITY_BLOCK`` at a time, so
+    memory stays flat in ``count``.
+    """
+    blocks = []
+    for start in range(0, count, _IDENTITY_BLOCK):
+        coeffs = np.stack([
+            fields.random_field(grid, modes, seed=seed, index=i, decay=4.0).coeffs
+            for i in range(start, min(start + _IDENTITY_BLOCK, count))
+        ])
+        blocks.append(_identity_residuals(grid, modes, params, coeffs))
+    residuals = {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
+    return {name: (float(r.max()), int(np.argmax(r))) for name, r in residuals.items()}
+
+
 def _cmd_verify_identities(args: argparse.Namespace) -> int:
     grid, modes = _ensemble_space(args.dim, args.points, args.modes)
     if args.count < 1:
         raise ConfigError([f"--count: must be at least 1, got {args.count}"])
-    worst: dict[str, tuple[float, int]] = {}
-    for index in range(args.count):
-        for name, value in _identity_residuals(
-            grid, modes, _DEFAULT_PARAMS, args.seed, index
-        ).items():
-            if name not in worst or value > worst[name][0]:
-                worst[name] = (value, index)
+    worst = _identity_ensemble(grid, modes, _DEFAULT_PARAMS, args.seed, args.count)
     failures = []
     for name in sorted(worst):
         value, index = worst[name]

@@ -18,7 +18,7 @@ import numpy as np
 from . import fields
 from .fields import GridSpec, SpectralField
 from .galerkin import LLBarParams, project
-from .operators import padded_values
+from .operators import padded_sup
 from .stepping import IntegratorPolicy
 
 __all__ = [
@@ -351,8 +351,7 @@ def build_initial(spec: InitialSpec, grid: GridSpec, modes: tuple[int, ...]) -> 
         coeffs = project(fields.forward(u), modes).coeffs
     field = SpectralField(grid=grid, modes=modes, coeffs=coeffs)
     if spec.normalize_linf is not None:
-        vals = padded_values(field)
-        current = float(np.sqrt((vals**2).sum(axis=0).max()))
+        current = padded_sup(field)
         if current <= 0.0:
             raise ValueError("cannot normalize a vanishing field")
         field = SpectralField(

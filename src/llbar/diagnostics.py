@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import integrate as sci_integrate
@@ -52,6 +52,8 @@ LEDGER_HEADER = (
 )
 
 _INTERP_SLACK = 1e-9
+# the Parseval ladder |(-Lap)^(m/2) u|, m = 0..5
+_LEVEL_COLUMNS = ("L2", "gradL2", "deltaL2", "gradDeltaL2", "delta2L2", "gradDelta2L2")
 
 
 @dataclass(frozen=True)
@@ -111,60 +113,83 @@ class NormSuite:
         return ",".join(f"{c:.17g}" for c in cells)
 
 
+def _norm_squares(
+    lam: np.ndarray, coeffs: np.ndarray, vals: np.ndarray, lap: np.ndarray,
+    columns: Iterable[np.ndarray], vol: float, scratch: np.ndarray | None = None,
+) -> dict[str, np.ndarray]:
+    """Every :class:`NormSuite` reading but ``t``, squared (``L4`` and ``L6``
+    to their own powers), per leading index of a (..., 3, *modes) stack.
+
+    ``lam`` are the stack's eigenvalues; ``vals``, ``lap`` and each of
+    ``columns`` hold its samples of u, Lap u and d_j u on the padded grid,
+    (..., 3, nodes), with cell volume ``vol``.  The pointwise quantities go
+    into the six node arrays of ``scratch`` (default: fresh ones).
+    """
+    c2 = (coeffs**2).sum(axis=-lam.ndim - 1).reshape(coeffs.shape[: -lam.ndim - 1] + (-1,))
+    lam = lam.ravel()
+    ladder = [(lam**m * c2).sum(axis=-1) for m in range(6)]
+    if scratch is None:
+        scratch = np.empty((6,) + vals.shape[:-2] + vals.shape[-1:])
+    mag2, lap_dot, lap2, grad2, u_dot_grad2, tmp = scratch
+    np.einsum("...cn,...cn->...n", vals, vals, out=mag2)
+    np.einsum("...cn,...cn->...n", vals, lap, out=lap_dot)
+    np.einsum("...cn,...cn->...n", lap, lap, out=lap2)
+    grad2.fill(0.0)
+    u_dot_grad2.fill(0.0)
+    for col in columns:
+        grad2 += np.einsum("...cn,...cn->...n", col, col, out=tmp)
+        np.einsum("...cn,...cn->...n", vals, col, out=tmp)  # u . d_j u
+        u_dot_grad2 += np.multiply(tmp, tmp, out=tmp)
+
+    def integral(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.multiply(a, b, out=tmp).sum(axis=-1) * vol
+
+    return dict(
+        zip(_LEVEL_COLUMNS, ladder),
+        L4=integral(mag2, mag2),
+        L6=integral(np.multiply(mag2, mag2, out=tmp), mag2),
+        Linf=mag2.max(axis=-1),
+        uDotGradU=u_dot_grad2.sum(axis=-1) * vol,
+        absUabsGradU=integral(mag2, grad2),
+        uDotDeltaU=integral(lap_dot, lap_dot),
+        absUabsDeltaU=integral(mag2, lap2),
+    )
+
+
 def norms(u: SpectralField, t: float = 0.0) -> NormSuite:
     """Full norm suite of a snapshot.
 
     The L2 ladder is Parseval over the coefficients; everything involving
     pointwise products is integrated on the oversampled grid.  One
     synthesis evaluates u and Lap u together, the Jacobian comes one
-    column at a time, and every pointwise quantity is reduced into a few
-    node vectors, all in the work set that ``fields._padded_work`` caches
-    per (grid, modes) for this and ``galerkin.nonlinear_term``.
+    column at a time, and :func:`_norm_squares` reduces every pointwise
+    quantity into a few node vectors, all in the work set that
+    ``fields._padded_work`` caches per (grid, modes) for this and
+    ``galerkin.nonlinear_term``.
     """
-    lam = u.eigenvalues
-    c2 = (u.coeffs**2).sum(axis=0)
-    ladder = [float(np.sqrt((lam**m * c2).sum())) for m in range(6)]
-
     grid = u.grid
     extents, points, dim = grid.extents, grid.padded(u.modes), grid.dim
-    vol = math.prod(L / P for L, P in zip(extents, points))
     stack, values_work, column_work, nodes = fields._padded_work(grid, u.modes)
-    mag2, lap_dot, lap2, grad2, u_dot_grad2, tmp = nodes[:6]
     stack[:3] = u.coeffs
-    np.multiply(u.coeffs, -lam[None], out=stack[3:])
+    np.multiply(u.coeffs, -u.eigenvalues[None], out=stack[3:])
     both = fields._eval_series(stack, extents, ("cos",) * dim, points, values_work)
     vals, lap = np.split(both.reshape(6, -1), 2)
-    np.einsum("cn,cn->n", vals, vals, out=mag2)
-    np.einsum("cn,cn->n", vals, lap, out=lap_dot)
-    np.einsum("cn,cn->n", lap, lap, out=lap2)
-    grad2.fill(0.0)
-    u_dot_grad2.fill(0.0)
-    for j in range(dim):
-        orders = tuple(int(a == j) for a in range(dim))
-        dc, parities = fields._derivative_multiplier(u.coeffs, extents, orders)
-        col = fields._eval_series(dc, extents, parities, points, column_work).reshape(3, -1)
-        grad2 += np.einsum("cn,cn->n", col, col, out=tmp)
-        np.einsum("cn,cn->n", vals, col, out=tmp)  # u . d_j u
-        u_dot_grad2 += np.multiply(tmp, tmp, out=tmp)
 
-    def integral(a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.multiply(a, b, out=tmp).sum() * vol)
+    def columns() -> Iterator[np.ndarray]:
+        for j in range(dim):
+            orders = tuple(int(a == j) for a in range(dim))
+            dc, parities = fields._derivative_multiplier(u.coeffs, extents, orders)
+            yield fields._eval_series(dc, extents, parities, points, column_work).reshape(3, -1)
 
+    squares = _norm_squares(
+        u.eigenvalues, u.coeffs, vals, lap, columns(), grid.padded_cell(u.modes), nodes[:6]
+    )
+    sq = {name: float(value) for name, value in squares.items()}
     return NormSuite(
         t=t,
-        L2=ladder[0],
-        L4=integral(mag2, mag2) ** 0.25,
-        L6=integral(np.multiply(mag2, mag2, out=tmp), mag2) ** (1.0 / 6.0),
-        Linf=math.sqrt(mag2.max()),
-        gradL2=ladder[1],
-        deltaL2=ladder[2],
-        gradDeltaL2=ladder[3],
-        delta2L2=ladder[4],
-        gradDelta2L2=ladder[5],
-        uDotGradU=math.sqrt(u_dot_grad2.sum() * vol),
-        absUabsGradU=math.sqrt(integral(mag2, grad2)),
-        uDotDeltaU=math.sqrt(integral(lap_dot, lap_dot)),
-        absUabsDeltaU=math.sqrt(integral(mag2, lap2)),
+        L4=sq.pop("L4") ** 0.25,
+        L6=sq.pop("L6") ** (1.0 / 6.0),
+        **{name: math.sqrt(value) for name, value in sq.items()},
     )
 
 
@@ -225,14 +250,23 @@ def energy_balance_residual(
             f"balance residual needs at least 3 records, got {len(ledger)}"
         )
     half_ddt = 0.5 * np.gradient(ledger.column("L2") ** 2, ledger.times, edge_order=2)
+    names = ("L2", "L4", "gradL2", "deltaL2", "uDotGradU", "absUabsGradU")
+    return _l2_balance(
+        params, {name: ledger.column(name) ** (4 if name == "L4" else 2) for name in names}, half_ddt
+    )
+
+
+def _l2_balance(params: LLBarParams, sq: dict, start: np.ndarray) -> np.ndarray:
+    """``start`` plus the terms of the L2 balance identity, from squared
+    readings as :func:`_norm_squares` gives them (``L4`` to the fourth)."""
     return (
-        half_ddt
-        + params.beta1 * ledger.column("gradL2") ** 2
-        + params.beta2 * ledger.column("deltaL2") ** 2
-        + params.beta3 * ledger.column("L4") ** 4
-        + 2.0 * params.beta5 * ledger.column("uDotGradU") ** 2
-        + params.beta5 * ledger.column("absUabsGradU") ** 2
-        - params.beta3 * ledger.column("L2") ** 2
+        start
+        + params.beta1 * sq["gradL2"]
+        + params.beta2 * sq["deltaL2"]
+        + params.beta3 * sq["L4"]
+        + 2.0 * params.beta5 * sq["uDotGradU"]
+        + params.beta5 * sq["absUabsGradU"]
+        - params.beta3 * sq["L2"]
     )
 
 
@@ -271,9 +305,6 @@ def h1_balance_residual(traj: Trajectory, params: LLBarParams) -> np.ndarray:
         + params.beta3 * (2.0 * u_dot_grad_sq + mixed_sq)
         + params.beta5 * quartic_inner
     )
-
-
-_LEVEL_COLUMNS = ("L2", "gradL2", "deltaL2", "gradDeltaL2", "delta2L2", "gradDelta2L2")
 
 
 @dataclass(frozen=True)
@@ -546,6 +577,31 @@ def continuous_dependence(
     )
 
 
+def _completed_square(
+    u: np.ndarray, ju: np.ndarray, jlap: np.ndarray, params: LLBarParams, vol: float
+) -> np.ndarray:
+    """Completed-square residual per leading index, from padded samples of
+    u, (..., 3, nodes), and of the Jacobians of u and Lap u, (..., 3, d, nodes)."""
+    if params.beta2 <= 0.0:
+        raise ValueError("the completed square needs beta2 > 0")
+    alpha = params.beta5 / (2.0 * params.beta2)
+    x, y = jlap, operators._cubic_gradient(u, ju)
+
+    def inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return vol * (a * b).sum(axis=(-3, -2, -1))
+
+    lhs = (
+        2.0 * params.beta2 * inner(x, x)
+        - (4.0 * alpha * params.beta2 + 2.0 * params.beta5) * inner(x, y)
+        + 4.0 * alpha * params.beta5 * inner(y, y)
+    )
+    y *= math.sqrt(4.0 * alpha * params.beta5)
+    z = math.sqrt(2.0 * params.beta2) * x
+    z -= y
+    rhs = inner(z, z)
+    return abs(lhs - rhs) / np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
+
+
 def completed_square_residual(s: SpectralField, params: LLBarParams) -> float:
     """Relative residual of the completed-square rearrangement at one field.
 
@@ -558,35 +614,20 @@ def completed_square_residual(s: SpectralField, params: LLBarParams) -> float:
     identically; both sides are evaluated with the same quadrature, so the
     residual probes pure floating-point algebra.
     """
-    if params.beta2 <= 0.0:
-        raise ValueError("the completed square needs beta2 > 0")
-    alpha = params.beta5 / (2.0 * params.beta2)
-    grid = s.grid
-    points = grid.padded(s.modes)
-    x = operators.padded_grad_laplacian(s)
-    y = operators.cubic_gradient_values(s)
-    xx = operators.grid_inner(x, x, grid, points)
-    xy = operators.grid_inner(x, y, grid, points)
-    yy = operators.grid_inner(y, y, grid, points)
-    lhs = (
-        2.0 * params.beta2 * xx
-        - (4.0 * alpha * params.beta2 + 2.0 * params.beta5) * xy
-        + 4.0 * alpha * params.beta5 * yy
-    )
-    z = math.sqrt(2.0 * params.beta2) * x - math.sqrt(4.0 * alpha * params.beta5) * y
-    rhs = operators.grid_inner(z, z, grid, points)
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+    (u, _), (ju, jlap) = operators.padded_samples(s.grid, s.coeffs)
+    return float(_completed_square(u, ju, jlap, params, s.grid.padded_cell(s.modes)))
 
 
 def three_d_energy_identity(traj: Trajectory, params: LLBarParams) -> np.ndarray:
-    """Completed-square residual (:func:`completed_square_residual`) per snapshot.
+    """Completed-square residual (:func:`completed_square_residual`) per
+    snapshot, all snapshots in one stacked evaluation.
 
     The quartic/sextic monitors entering the three-dimensional estimate
     are checked finite along the way: :class:`NormSuite` raises
     ``ValueError`` on any non-finite reading.
     """
-    out = np.empty(len(traj.snapshots))
-    for i, s in enumerate(traj.snapshots):
-        out[i] = completed_square_residual(s, params)
-        norms(s, traj.times[i])
-    return out
+    for t, s in zip(traj.times, traj.snapshots):
+        norms(s, t)
+    stack = np.stack([s.coeffs for s in traj.snapshots])
+    (u, _), (ju, jlap) = operators.padded_samples(traj.grid, stack)
+    return _completed_square(u, ju, jlap, params, traj.grid.padded_cell(traj.modes))

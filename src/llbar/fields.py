@@ -93,6 +93,10 @@ class GridSpec:
     def padded(self, modes: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(self.dealias_pad * M for M in modes)
 
+    def padded_cell(self, modes: tuple[int, ...]) -> float:
+        """Cell volume of the band's padded midpoint grid."""
+        return math.prod(L / P for L, P in zip(self.extents, self.padded(modes)))
+
     def axis_coords(self, axis: int, points: int | None = None) -> np.ndarray:
         """Midpoint coordinates along one axis (optionally at another resolution)."""
         N = self.points[axis] if points is None else points

@@ -144,14 +144,18 @@ def project(v: SpectralField, modes: tuple[int, ...]) -> SpectralField:
     return out
 
 
+def _precession(u_vals: np.ndarray, lap_vals: np.ndarray) -> np.ndarray:
+    """The precession density ``u x Lap(u)``, pointwise, from samples laid
+    out as ``operators``' pointwise forms take them."""
+    return np.cross(u_vals, lap_vals, axis=-2)
+
+
 def f4(v: SpectralField) -> SpectralField:
     """Band projection of the precession density ``v x Lap(v)``."""
-    u_vals = operators.padded_values(v)
-    lap_vals = operators.padded_laplacian_values(v)
-    w = np.cross(u_vals, lap_vals, axis=0)
-    coeffs = fields._transform_series(
-        w, v.grid.extents, ("cos",) * v.grid.dim, v.modes
+    w = operators._pointwise(
+        _precession, v, None, operators.padded_values, operators.padded_laplacian_values
     )
+    coeffs = fields._transform_series(w, v.grid.extents, ("cos",) * v.grid.dim, v.modes)
     return SpectralField(grid=v.grid, modes=v.modes, coeffs=coeffs)
 
 

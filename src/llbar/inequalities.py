@@ -280,7 +280,7 @@ def catalogue_ratios(
     # One padded synthesis per multi-index, shared by every row.  Orders
     # run upwards; after each, the running maxima and L^q sums become that
     # order's W^{k,inf} and W^{k,q} values.
-    vol = math.prod(L / P for L, P in zip(grid.extents, grid.padded(grid.points)))
+    vol = grid.padded_cell(grid.points)
     pairs = n // 2
     qs = sorted({q for _, q, _, _ in catalogue.gn if not math.isinf(q)})
     running_max, running_q = np.zeros(n), {q: np.zeros(s) for q in qs}

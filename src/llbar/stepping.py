@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import fields, galerkin
+from . import fields, galerkin, operators
 from .fields import GridSpec, SpectralField
 from .galerkin import LLBarParams
 
@@ -260,7 +260,8 @@ def integrate(
     default: the field's own modes, all of the grid for vector-field data).
     When ``t_end`` is not a step multiple, a single shorter final step
     closes the gap.  A blow-up stops the march and returns the partial
-    trajectory with ``aborted`` set instead of propagating the error.
+    trajectory with ``aborted`` set instead of propagating the error; the
+    final state is checked against ``policy.blowup_threshold`` too.
     """
     if cadence < 1:
         raise ValueError(f"cadence must be at least 1, got {cadence}")
@@ -298,6 +299,8 @@ def integrate(
             state = step(state, params, short)
         if total > 0:
             record(policy.t_end, state.u)
+            # no later step reads the final state's sup, so read it here
+            _check_blowup(policy.t_end, operators.padded_sup(state.u), policy.blowup_threshold)
     except BlowupError as err:
         traj.aborted = True
         traj.blowup = (err.t, err.norm)

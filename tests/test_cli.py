@@ -7,12 +7,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from llbar import cli, config, diagnostics, fields, inequalities, stepping
+from llbar import cli, config, diagnostics, fields, galerkin, inequalities, operators, stepping
 from llbar.config import ConfigError, InitialSpec, build_initial, parse_config
 from llbar.fields import GridSpec
 from llbar.galerkin import LLBarParams
@@ -427,25 +428,29 @@ def test_run_truncated_snapshot_exits_io(tmp_path, capsys):
         ["depend", "--amplitude", "1e200"],
         ["converge", "--amplitude", "1e200", "--bands", "4,8"],
         ["depend", "--delta", "1e300"],
+        ["run", "{last}"],
     ],
 )
 def test_overflow_is_one_blowup_line(tmp_path, capsys, argv):
     # overflowing fields exit 3 with one line and no numpy warning; run
     # writes nothing when the t = 0 record overflows (1e100) and keeps the
-    # finite records before a mid-run overflow (1e9 under a 1e10 threshold)
+    # finite records before an overflow (1e9 under a 1e10 threshold), also
+    # when the overflow is the state after the last step
     out = tmp_path / "out"
     text = GOOD.replace("directory = out", f"directory = {out}")
     huge = text.replace("value = 1.0, 0.0, 0.0", "value = 1e100, 0.0, 0.0")
     late = text.replace("value = 1.0, 0.0, 0.0", "value = 1e9, 0.0, 0.0")
     late = late.replace("t_end = 0.01", "t_end = 0.01\nblowup_threshold = 1e10")
+    last = late.replace("t_end = 0.01", "t_end = 0.001")
     paths = {
         "huge": write_config(tmp_path, huge, "huge.ini"),
         "late": write_config(tmp_path, late, "late.ini"),
+        "last": write_config(tmp_path, last, "last.ini"),
     }
     assert cli.main([arg.format(**paths) for arg in argv]) == 3
     err = capsys.readouterr().err
     assert err.startswith("llbar: blowup: ") and err.count("\n") == 1, err
-    if argv == ["run", "{late}"]:
+    if argv in (["run", "{late}"], ["run", "{last}"]):
         names = sorted(p.name for p in out.iterdir())
         assert names == ["state_000000.snap", "state_ledger.csv"], names
         assert len((out / "state_ledger.csv").read_text().splitlines()) == 2
@@ -469,6 +474,91 @@ def test_verify_identities_smoke(capsys):
     out = capsys.readouterr().out
     assert out.count(" ok") == 5, f"expected five identity lines, got:\n{out}"
     assert cli.main(["verify-identities", "--dim", "4"]) == 2
+
+
+def per_draw_identities(grid, modes, seed, count):
+    """The identity residuals of each draw alone, through the SpectralField entry points."""
+    params = cli._DEFAULT_PARAMS
+    rows = {}
+    for index in range(count):
+        v = fields.random_field(grid, modes, seed=seed, index=index, decay=4.0)
+        coeff_sq = float((v.coeffs**2).sum())
+        vals = operators.padded_values(v)
+        quad = operators.grid_inner(vals, vals, grid, grid.padded(modes))
+        direct = operators.delta_cubic_band(v).coeffs
+        composed = operators.laplacian(operators.cubic_band(v)).coeffs
+        pairing = float((galerkin.rhs(v, params).coeffs * v.coeffs).sum())
+        suite = diagnostics.norms(v)
+        dissipation = (
+            -params.beta1 * suite.gradL2**2
+            - params.beta2 * suite.deltaL2**2
+            - params.beta3 * suite.L4**4
+            + params.beta3 * suite.L2**2
+            - 2.0 * params.beta5 * suite.uDotGradU**2
+            - params.beta5 * suite.absUabsGradU**2
+        )
+        precession = float((galerkin.f4(v).coeffs * v.coeffs).sum())
+        residuals = {
+            "parseval": abs(quad - coeff_sq) / max(1.0, coeff_sq),
+            "cubic_laplacian_routes": np.linalg.norm(direct - composed)
+            / max(1.0, np.linalg.norm(direct)),
+            "l2_balance": abs(pairing - dissipation)
+            / max(1.0, abs(pairing), abs(dissipation)),
+            "precession_orthogonality": abs(precession) / max(1.0, coeff_sq),
+            "completed_square": diagnostics.completed_square_residual(v, params),
+        }
+        for name, value in residuals.items():
+            rows.setdefault(name, []).append(value)
+    return {name: np.array(values) for name, values in rows.items()}
+
+
+@pytest.mark.parametrize(
+    "dim,points,modes", [(1, 8, 4), (1, 8, 8), (2, 8, 4), (2, 8, 8), (3, 4, 2), (3, 4, 4)]
+)
+def test_identity_ensemble_matches_per_draw_routes(dim, points, modes):
+    grid, band = cli._ensemble_space(dim, points, modes)
+    block = cli._IDENTITY_BLOCK
+    reference = per_draw_identities(grid, band, 3, 2 * block + 1)
+    for count in (1, block - 1, block + 1, 2 * block + 1):
+        worst = cli._identity_ensemble(grid, band, cli._DEFAULT_PARAMS, 3, count)
+        assert list(worst) == list(reference)
+        for name, (value, index) in worst.items():
+            ref = reference[name][:count]
+            top = float(ref.max())
+            assert abs(value - top) <= 1e-12 * top or max(value, top) < 1e-14, (name, count)
+            runner_up = np.sort(ref)[-2] if count > 1 else -math.inf
+            if top - runner_up > 1e-15:  # a maximum tied within rounding has no fixed witness
+                assert index == int(np.argmax(ref)), (name, count)
+
+
+def test_identity_ensemble_memory_is_flat_in_count():
+    grid, modes = cli._ensemble_space(2, 16, 8)
+    block = cli._IDENTITY_BLOCK
+    cli._identity_ensemble(grid, modes, cli._DEFAULT_PARAMS, 0, block)  # warm caches
+    peaks = []
+    for count in (block, 8 * block):
+        tracemalloc.start()
+        try:
+            cli._identity_ensemble(grid, modes, cli._DEFAULT_PARAMS, 0, count)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], f"peak {peaks[1]} B at 8 blocks vs {peaks[0]} B at one"
+
+
+def test_verify_identities_failure_names_the_per_draw_witness(capsys, monkeypatch):
+    grid, modes = cli._ensemble_space(2, 16, 8)
+    reference = per_draw_identities(grid, modes, 0, 128)
+    maxima = sorted((float(r.max()), name) for name, r in reference.items())
+    (runner_up, _), (top, name) = maxima[-2:]
+    assert top > 10.0 * runner_up  # so exactly one row fails
+    monkeypatch.setattr(cli, "_IDENTITY_TOL", 0.5 * top)
+    assert cli.main(["verify-identities", "--count", "128", "--seed", "0"]) == 4
+    out, err = capsys.readouterr()
+    assert f"{name:<26s} max residual" in out and out.count(" FAIL") == 1, out
+    assert err.startswith("llbar: assertion-failure: ") and err.count("\n") == 1, err
+    index = int(np.argmax(reference[name]))
+    assert f"{name}: residual " in err and f"(witness seed 0, index {index})" in err, err
 
 
 def test_converge_rejects_bad_bands(capsys):
