@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy import integrate as sci_integrate
 
 from . import fields, galerkin, operators
 from .fields import SpectralField, VectorField
@@ -113,21 +113,35 @@ class NormSuite:
         return ",".join(f"{c:.17g}" for c in cells)
 
 
+# the rows of _norm_squares: the ladder, the node integrals, the sup
+_SQUARES = _LEVEL_COLUMNS + ("L6", "uDotDeltaU", "absUabsDeltaU", "absUabsGradU", "uDotGradU",
+                             "L4", "Linf")
+
+
+@lru_cache(maxsize=32)
+def _ladder_weights(grid: fields.GridSpec, modes: tuple[int, ...]) -> np.ndarray:
+    """lambda(k)**m for m = 0..5 over the flattened mode box, read-only."""
+    lam = fields.eigenvalue_array(grid, modes).ravel()
+    weights = np.stack([lam**m for m in range(6)])
+    weights.setflags(write=False)
+    return weights
+
+
 def _norm_squares(
-    lam: np.ndarray, coeffs: np.ndarray, vals: np.ndarray, lap: np.ndarray,
-    columns: Iterable[np.ndarray], vol: float, scratch: np.ndarray | None = None,
+    grid: fields.GridSpec, modes: tuple[int, ...], coeffs: np.ndarray, vals: np.ndarray,
+    lap: np.ndarray, columns: Iterable[np.ndarray], scratch: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Every :class:`NormSuite` reading but ``t``, squared (``L4`` and ``L6``
     to their own powers), per leading index of a (..., 3, *modes) stack.
 
-    ``lam`` are the stack's eigenvalues; ``vals``, ``lap`` and each of
-    ``columns`` hold its samples of u, Lap u and d_j u on the padded grid,
-    (..., 3, nodes), with cell volume ``vol``.  The pointwise quantities go
-    into the six node arrays of ``scratch`` (default: fresh ones).
+    ``vals``, ``lap`` and each of ``columns`` hold the stack's samples of
+    u, Lap u and d_j u on the band's padded grid, (..., 3, nodes).  The
+    six pointwise integrands are built in place in the six node arrays of
+    ``scratch`` (default: fresh ones) and reduced in one pass.
     """
-    c2 = (coeffs**2).sum(axis=-lam.ndim - 1).reshape(coeffs.shape[: -lam.ndim - 1] + (-1,))
-    lam = lam.ravel()
-    ladder = [(lam**m * c2).sum(axis=-1) for m in range(6)]
+    c2 = (coeffs**2).sum(axis=-len(modes) - 1).reshape(coeffs.shape[: -len(modes) - 1] + (-1,))
+    weights = _ladder_weights(grid, modes)
+    ladder = (weights.reshape((6,) + (1,) * (c2.ndim - 1) + (-1,)) * c2).sum(axis=-1)
     if scratch is None:
         scratch = np.empty((6,) + vals.shape[:-2] + vals.shape[-1:])
     mag2, lap_dot, lap2, grad2, u_dot_grad2, tmp = scratch
@@ -140,20 +154,15 @@ def _norm_squares(
         grad2 += np.einsum("...cn,...cn->...n", col, col, out=tmp)
         np.einsum("...cn,...cn->...n", vals, col, out=tmp)  # u . d_j u
         u_dot_grad2 += np.multiply(tmp, tmp, out=tmp)
-
-    def integral(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.multiply(a, b, out=tmp).sum(axis=-1) * vol
-
-    return dict(
-        zip(_LEVEL_COLUMNS, ladder),
-        L4=integral(mag2, mag2),
-        L6=integral(np.multiply(mag2, mag2, out=tmp), mag2),
-        Linf=mag2.max(axis=-1),
-        uDotGradU=u_dot_grad2.sum(axis=-1) * vol,
-        absUabsGradU=integral(mag2, grad2),
-        uDotDeltaU=integral(lap_dot, lap_dot),
-        absUabsDeltaU=integral(mag2, lap2),
-    )
+    sup = mag2.max(axis=-1)
+    # each row becomes the integrand of its reading in _SQUARES; mag2 last
+    np.multiply(mag2, mag2, out=tmp)
+    np.multiply(mag2, grad2, out=grad2)
+    np.multiply(mag2, lap2, out=lap2)
+    np.multiply(lap_dot, lap_dot, out=lap_dot)
+    np.multiply(tmp, mag2, out=mag2)
+    integrals = scratch.sum(axis=-1) * grid.padded_cell(modes)
+    return dict(zip(_SQUARES, np.concatenate([ladder, integrals, sup[None]])))
 
 
 def norms(u: SpectralField, t: float = 0.0) -> NormSuite:
@@ -167,9 +176,9 @@ def norms(u: SpectralField, t: float = 0.0) -> NormSuite:
     ``fields._padded_work`` caches per (grid, modes) for this and
     ``galerkin.nonlinear_term``.
     """
-    grid = u.grid
-    extents, points, dim = grid.extents, grid.padded(u.modes), grid.dim
-    stack, values_work, column_work, nodes = fields._padded_work(grid, u.modes)
+    grid, modes = u.grid, u.modes
+    extents, points, dim = grid.extents, grid.padded(modes), grid.dim
+    stack, values_work, column_work, nodes = fields._padded_work(grid, modes)
     stack[:3] = u.coeffs
     np.multiply(u.coeffs, -u.eigenvalues[None], out=stack[3:])
     both = fields._eval_series(stack, extents, ("cos",) * dim, points, values_work)
@@ -181,10 +190,7 @@ def norms(u: SpectralField, t: float = 0.0) -> NormSuite:
             dc, parities = fields._derivative_multiplier(u.coeffs, extents, orders)
             yield fields._eval_series(dc, extents, parities, points, column_work).reshape(3, -1)
 
-    squares = _norm_squares(
-        u.eigenvalues, u.coeffs, vals, lap, columns(), grid.padded_cell(u.modes), nodes[:6]
-    )
-    sq = {name: float(value) for name, value in squares.items()}
+    sq = _norm_squares(grid, modes, u.coeffs, vals, lap, columns(), nodes[:6])
     return NormSuite(
         t=t,
         L4=sq.pop("L4") ** 0.25,
@@ -337,7 +343,7 @@ def apriori_monitor(
     for ledger in ledgers:
         sup = float(ledger.column(_LEVEL_COLUMNS[r]).max())
         high = ledger.column(_LEVEL_COLUMNS[r + 2]) ** 2
-        integrals.append(float(sci_integrate.trapezoid(high, ledger.times)))
+        integrals.append(float(np.trapezoid(high, ledger.times)))
         sups.append(sup)
     passed = all(np.isfinite(sups)) and all(np.isfinite(integrals))
     for seq in (sups, integrals):
@@ -413,6 +419,8 @@ def bihari_general(
     tail integral of 1/f from x; f must be positive and non-decreasing on
     the range it is evaluated on, and 1/f must be integrable at infinity.
     """
+    from scipy import integrate as sci_integrate
+
     y0 = float(y0)
     if not (y0 > 0.0 and math.isfinite(y0)):
         raise ValueError(f"y0 must be positive, got {y0}")
@@ -519,61 +527,56 @@ class DependenceReport:
         if not all(math.isfinite(v) for v in values):
             raise ValueError("dependence report entries must be finite")
 
-    @classmethod
-    def merge(cls, reports: Sequence["DependenceReport"]) -> "DependenceReport":
-        return cls(
-            deltas=tuple(d for r in reports for d in r.deltas),
-            terminal_diffs=tuple(d for r in reports for d in r.terminal_diffs),
-            gronwall_factor=max(r.gronwall_factor for r in reports),
-            margins=tuple(m for r in reports for m in r.margins),
-        )
-
 
 def continuous_dependence(
     u0: VectorField | SpectralField,
-    v0: VectorField | SpectralField,
+    v0s: Sequence[VectorField | SpectralField],
     params: LLBarParams,
     policy: IntegratorPolicy,
     modes: tuple[int, ...] | None = None,
     cadence: int = 1,
 ) -> DependenceReport:
-    """Run both initial data and compare terminal separation to the
-    Gronwall envelope exp(int (1 + |u|_Linf^4 + |v|_Linf^4)).
+    """Run the base data once and each perturbed datum in ``v0s``, and
+    compare every terminal separation to its Gronwall envelope
+    exp(int (1 + |u|_Linf^4 + |v|_Linf^4)).
 
     The margin is the measured ratio of terminal separation to
     sqrt(factor) times the initial separation; it is recorded, not
-    asserted against a constant.
+    asserted against a constant.  The report keeps the largest factor.
     """
-    traj_u = integrate(u0, params, policy, modes=modes, cadence=cadence)
-    traj_v = integrate(v0, params, policy, modes=traj_u.modes, cadence=cadence)
-    for traj in (traj_u, traj_v):
+    if not v0s:
+        raise ValueError("at least one perturbed datum required")
+
+    def run(w0: VectorField | SpectralField, band: tuple[int, ...] | None) -> Trajectory:
+        traj = integrate(w0, params, policy, modes=band, cadence=cadence)
         if traj.aborted:
             raise BlowupError(*traj.blowup)
-    if traj_u.times != traj_v.times:
-        raise ValueError("trajectories recorded different tick schedules")
+        return traj
 
     def linf4(traj: Trajectory) -> np.ndarray:
-        out = np.empty(len(traj.snapshots))
-        for i, s in enumerate(traj.snapshots):
-            mag2 = (operators.padded_values(s) ** 2).sum(axis=0)
-            out[i] = mag2.max() ** 2
-        return out
+        return np.array(
+            [(operators.padded_values(s) ** 2).sum(axis=0).max() ** 2 for s in traj.snapshots]
+        )
 
+    def gap(a: SpectralField, b: SpectralField) -> float:
+        return float(np.sqrt(((a.coeffs - b.coeffs) ** 2).sum()))
+
+    traj_u = run(u0, modes)
     t = np.asarray(traj_u.times)
-    growth = 1.0 + linf4(traj_u) + linf4(traj_v)
-    factor = float(np.exp(sci_integrate.trapezoid(growth, t)))
-    delta0 = float(
-        np.sqrt(((traj_u.snapshots[0].coeffs - traj_v.snapshots[0].coeffs) ** 2).sum())
-    )
-    delta_T = float(
-        np.sqrt(((traj_u.terminal.coeffs - traj_v.terminal.coeffs) ** 2).sum())
-    )
-    margin = delta_T / (math.sqrt(factor) * delta0) if delta0 > 0.0 else 0.0
+    base = 1.0 + linf4(traj_u)
+    rows = []  # (delta0, delta_T, factor, margin) per perturbed datum
+    for v0 in v0s:
+        traj_v = run(v0, traj_u.modes)
+        if traj_u.times != traj_v.times:
+            raise ValueError("trajectories recorded different tick schedules")
+        factor = float(np.exp(np.trapezoid(base + linf4(traj_v), t)))
+        delta0 = gap(traj_u.snapshots[0], traj_v.snapshots[0])
+        delta_T = gap(traj_u.terminal, traj_v.terminal)
+        margin = delta_T / (math.sqrt(factor) * delta0) if delta0 > 0.0 else 0.0
+        rows.append((delta0, delta_T, factor, margin))
+    deltas, gaps, factors, margins = zip(*rows)
     return DependenceReport(
-        deltas=(delta0,),
-        terminal_diffs=(delta_T,),
-        gronwall_factor=factor,
-        margins=(margin,),
+        deltas=deltas, terminal_diffs=gaps, gronwall_factor=max(factors), margins=margins
     )
 
 

@@ -11,13 +11,14 @@ an exact identity for band-limited fields.
 
 Transforms ride on the orthonormal DCT-II/DST-II pair (midpoint
 collocation), one axis at a time: an axis of at most _MATRIX_MAX_POINTS
-points, of either parity, is a product with the transform as a dense
-matrix, and a longer axis is one scipy pocketfft pass.  With
-norm='ortho' on an N-point axis of length L the scale bridge between
-samples and basis coefficients is a bare factor sqrt(L/N) per axis, and
-zero-padding coefficients before the inverse transform evaluates the
-same continuum field on a finer midpoint grid.  Odd derivatives flip an
-axis to sine parity; sine frequencies k = 1..P live in DST index k-1.
+points, of either parity, is a product with a numpy-built dense matrix,
+and a longer axis is one pocketfft pass (``scipy.fft``, imported there
+only).  With norm='ortho' on an N-point axis of length L the scale
+bridge between samples and basis coefficients is a bare factor
+sqrt(L/N) per axis, and zero-padding coefficients before the inverse
+transform evaluates the same continuum field on a finer midpoint grid.
+Odd derivatives flip an axis to sine parity; sine frequencies k = 1..P
+live in DST index k-1.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sfft
 
 __all__ = [
     "GridSpec",
@@ -205,12 +205,15 @@ def _axis_matrices(parity: str, M: int, P: int, L: float) -> tuple[np.ndarray, n
     the sine k=0 row is zero.  Both are read-only: the cache hands the
     same arrays to every caller.
     """
-    eye = np.eye(P)
-    if parity == "cos":
-        basis = sfft.dct(eye, type=2, norm="ortho", axis=0)[:M]  # basis[k, p]
-    else:
-        dst = sfft.dst(eye, type=2, norm="ortho", axis=0)
-        basis = np.vstack([np.zeros((1, P)), dst])[:M]
+    # basis[k, p] = cos(pi m / 2P), m = k(2p+1) less P for sine, reduced exactly
+    # mod 4P and read from one quarter-wave table with q[P] = 0: mirrored nodes
+    # give exactly negated entries (odd cosine rows sum to 0), sine row 0 is 0
+    quarter = np.cos(np.arange(P + 1) * (np.pi / (2 * P)))
+    quarter[P] = 0.0
+    half = np.concatenate([quarter, -quarter[-2::-1]])  # cos on [0, pi]
+    m = (np.arange(M)[:, None] * (2 * np.arange(P) + 1) - P * (parity == "sin")) % (4 * P)
+    scale = np.where(np.arange(M)[:, None] == 0, math.sqrt(1 / P), math.sqrt(2 / P))
+    basis = half[np.minimum(m, 4 * P - m)] * scale
     synthesis = np.ascontiguousarray(basis.T) * np.sqrt(P / L)
     analysis = basis * np.sqrt(L / P)
     synthesis.setflags(write=False)
@@ -340,6 +343,7 @@ def _eval_series(
             out = None if work is None else work[n % 2][: arr.size // M * P]
             arr = _apply_axis(synthesis, arr, axis, out)
         else:
+            from scipy import fft as sfft
             # pocketfft zero-pads to n=P; the sine k=0 slot is dropped
             shift = int(parities[j] == "sin")
             inverse_pass = sfft.idst if shift else sfft.idct
@@ -374,6 +378,7 @@ def _transform_series(
             out = None if work is None else work[j % 2][: arr.size // P * M]
             arr = _apply_axis(analysis, arr, axis, out)
         else:
+            from scipy import fft as sfft
             # keep the first M frequencies; DST index k-1 holds sine frequency k
             shift = int(parities[j] == "sin")
             forward_pass = sfft.dst if shift else sfft.dct

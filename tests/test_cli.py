@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -352,6 +353,71 @@ def test_python_dash_m_runs_the_cli():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.count(" ok") == 5, run.stdout
+
+
+_COLD_START = {
+    "import": "import llbar.cli\n",
+    "python -m llbar verify-identities": (
+        "sys.argv = ['llbar', 'verify-identities', '--count', '1']\n"
+        "try:\n"
+        "    runpy.run_module('llbar', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as stop:\n"
+        "    assert stop.code == 0, stop.code\n"
+    ),
+    "short runs of the other checks": (
+        "from llbar import cli\n"
+        "for argv in (['verify-inequalities', '--count', '2'], ['depend', '--tend', '0.01'],\n"
+        "             ['holder', '--tend', '0.02'], ['converge', '--tend', '0.01']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("body", list(_COLD_START.values()), ids=list(_COLD_START))
+def test_cold_start_loads_no_scipy(body):
+    # importing scipy.fft and scipy.integrate costs about 0.4 s per process;
+    # only axes longer than fields._MATRIX_MAX_POINTS and bihari_general
+    # need them, so no command at its usual sizes may load any of scipy
+    probe = (
+        "import runpy, sys\n" + body
+        + "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]", run.stdout
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+def test_verify_passes_reuse_their_temporaries():
+    # at glibc's 128 KiB defaults every ensemble block mapped its larger
+    # temporaries afresh and faulted them in (about 6,000 minor faults per
+    # 128-draw pass of both commands); the entry point's thresholds keep
+    # them for reuse
+    probe = (
+        "import resource\n"
+        "from llbar import cli\n"
+        "def verify():\n"
+        "    for command in ('verify-identities', 'verify-inequalities'):\n"
+        "        assert cli.main([command, '--count', '128']) == 0\n"
+        "verify()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "verify()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    faults = int(run.stdout.splitlines()[-1])
+    assert faults < 1000, f"{faults} minor page faults in a repeated pass of both verify commands"
 
 
 def test_run_config_error_exit(tmp_path, capsys):

@@ -19,7 +19,7 @@ from llbar import diagnostics, fields, stepping
 from llbar.diagnostics import EnergyLedger, NormSuite
 from llbar.fields import GridSpec, SpectralField
 from llbar.galerkin import LLBarParams
-from llbar.stepping import IntegratorPolicy, Trajectory
+from llbar.stepping import IntegratorPolicy, Trajectory, integrate
 
 PARAMS = LLBarParams(0.4, 0.01, 1.2, 0.7, 0.25)
 
@@ -352,26 +352,44 @@ def test_continuous_dependence_scaling_and_envelope():
     unit = direction.coeffs / np.sqrt((direction.coeffs**2).sum())
     policy = IntegratorPolicy(dt=1e-3, t_end=0.05)
 
-    reports = []
-    for delta in (1e-3, 1e-5):
-        v0 = SpectralField(grid=grid, modes=(16,), coeffs=u0.coeffs + delta * unit)
-        reports.append(
-            diagnostics.continuous_dependence(u0, v0, PARAMS, policy)
-        )
-    merged = diagnostics.DependenceReport.merge(reports)
-    assert merged.deltas[0] == pytest.approx(1e-3, rel=1e-12)
-    assert merged.deltas[1] == pytest.approx(1e-5, rel=1e-12)
-    ratios = [d_T / d_0 for d_0, d_T in zip(merged.deltas, merged.terminal_diffs)]
+    v0s = [
+        SpectralField(grid=grid, modes=(16,), coeffs=u0.coeffs + delta * unit)
+        for delta in (1e-3, 1e-5)
+    ]
+    report = diagnostics.continuous_dependence(u0, v0s, PARAMS, policy)
+    assert report.deltas[0] == pytest.approx(1e-3, rel=1e-12)
+    assert report.deltas[1] == pytest.approx(1e-5, rel=1e-12)
+    ratios = [d_T / d_0 for d_0, d_T in zip(report.deltas, report.terminal_diffs)]
     assert max(ratios) / min(ratios) < 1.5, f"nonlinear contamination: {ratios}"
-    assert merged.gronwall_factor > 1.0
-    assert all(m <= 1.0 for m in merged.margins), f"envelope breached: {merged.margins}"
+    assert report.gronwall_factor > 1.0
+    assert all(m <= 1.0 for m in report.margins), f"envelope breached: {report.margins}"
+
+
+def test_continuous_dependence_integrates_the_base_once(monkeypatch):
+    # the base trajectory serves every perturbed datum: 1 + len(v0s) runs
+    grid = GridSpec(extents=(1.0,), points=(8,))
+    u0 = fields.random_field(grid, (8,), seed=2, decay=4.0)
+    v0s = [SpectralField(grid, (8,), u0.coeffs * (1.0 + eps)) for eps in (1e-3, 1e-4, 1e-5)]
+    policy = IntegratorPolicy(dt=1e-2, t_end=0.03)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "integrate", counted)
+    report = diagnostics.continuous_dependence(u0, v0s, PARAMS, policy)
+    assert calls == [u0, *v0s]
+    assert len(report.deltas) == len(report.margins) == 3
+    with pytest.raises(ValueError, match="perturbed"):
+        diagnostics.continuous_dependence(u0, [], PARAMS, policy)
 
 
 def test_continuous_dependence_identical_data():
     grid = GridSpec(extents=(1.0,), points=(8,))
     u0 = fields.random_field(grid, (8,), seed=2, decay=4.0)
     policy = IntegratorPolicy(dt=1e-2, t_end=0.03)
-    rep = diagnostics.continuous_dependence(u0, u0, PARAMS, policy)
+    rep = diagnostics.continuous_dependence(u0, [u0], PARAMS, policy)
     assert rep.deltas == (0.0,)
     assert rep.terminal_diffs == (0.0,)
     assert rep.margins == (0.0,)

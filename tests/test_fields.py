@@ -9,6 +9,7 @@ itself.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import struct
 import subprocess
@@ -280,6 +281,37 @@ def test_matrix_and_pocketfft_paths_agree(monkeypatch, extents, modes, points):
         for j, parity in enumerate(parities):
             if parity == "sin":
                 assert np.all(np.take(analysis, 0, axis=1 + j) == 0.0), parities
+
+
+@pytest.mark.parametrize("P", [4, 5, 7, 16, 17, 64, 256])
+def test_axis_matrices_match_scipy(P):
+    # the numpy-built matrices are scipy's orthonormal DCT-II / DST-II of
+    # the identity, sine frequency k in DST row k-1, with the basis scales
+    from scipy import fft as sfft
+
+    L = 1.3
+    eye = np.eye(P)
+    dct = sfft.dct(eye, type=2, norm="ortho", axis=0)
+    dst = np.vstack([np.zeros((1, P)), sfft.dst(eye, type=2, norm="ortho", axis=0)])
+    for M in sorted({1, 2, P // 2, P}):
+        for parity, ref in (("cos", dct[:M]), ("sin", dst[:M])):
+            synthesis, analysis = fields._axis_matrices(parity, M, P, L)
+            for got, want in ((synthesis, ref.T * np.sqrt(P / L)), (analysis, ref * np.sqrt(L / P))):
+                scale = max(np.abs(want).max(), np.abs(got).max())
+                assert np.abs(got - want).max() <= 1e-15 * scale, (parity, M)
+    _, cos_rows = fields._axis_matrices("cos", P, P, L)
+    _, sin_rows = fields._axis_matrices("sin", P, P, L)
+    assert np.all(sin_rows[0] == 0.0)
+    # mirrored midpoints give exactly negated entries in odd rows, so
+    # those rows sum to exactly zero, as do all rows k >= 1 when P is a
+    # power of two; for odd P an even row sums to zero only in exact
+    # arithmetic (P = 5, k = 2: 2 cos 36 - 2 cos 72 - 1)
+    for k in range(1, P):
+        row_sum = math.fsum(cos_rows[k])
+        if k % 2 or P & (P - 1) == 0:
+            assert row_sum == 0.0, k
+        else:
+            assert abs(row_sum) <= 4e-16, k
 
 
 def test_padded_work_starts_on_pages():
