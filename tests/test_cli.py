@@ -343,14 +343,18 @@ def test_verify_inequalities_checks_output_before_sampling(
     assert captured.err.count("\n") == 1, "diagnostics must land on a single line"
 
 
-def test_python_dash_m_runs_the_cli():
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run this interpreter in a new process with this checkout's llbar."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-m", "llbar", "verify-identities", "--count", "1"],
-        env=env, capture_output=True, text=True, timeout=300,
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    run = _fresh_python("-m", "llbar", "verify-identities", "--count", "1")
     assert run.returncode == 0, run.stderr
     assert run.stdout.count(" ok") == 5, run.stdout
 
@@ -382,12 +386,7 @@ def test_cold_start_loads_no_scipy(body):
         "import runpy, sys\n" + body
         + "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300
-    )
+    run = _fresh_python("-c", probe)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]", run.stdout
 
@@ -395,7 +394,7 @@ def test_cold_start_loads_no_scipy(body):
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
 def test_verify_passes_reuse_their_temporaries():
     # at glibc's 128 KiB defaults every ensemble block mapped its larger
-    # temporaries afresh and faulted them in (about 6,000 minor faults per
+    # temporaries afresh and faulted them in (about 8,400 minor faults per
     # 128-draw pass of both commands); the entry point's thresholds keep
     # them for reuse
     probe = (
@@ -409,12 +408,7 @@ def test_verify_passes_reuse_their_temporaries():
         "verify()\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300
-    )
+    run = _fresh_python("-c", probe)
     assert run.returncode == 0, run.stderr
     faults = int(run.stdout.splitlines()[-1])
     assert faults < 1000, f"{faults} minor page faults in a repeated pass of both verify commands"
