@@ -1,4 +1,4 @@
-"""Norm suites, balance residuals, and the estimate monitors.
+"""Norm suites, balance residuals, the estimate monitors and the identity ensemble.
 
 Everything here reads trajectories or ledgers; nothing mutates solver
 state.  The L2-family norms come from Parseval on the retained
@@ -24,26 +24,26 @@ import numpy as np
 from . import fields, galerkin, operators
 from .fields import SpectralField, VectorField
 from .galerkin import LLBarParams
+from .inequalities import _per_draw
 from .stepping import BlowupError, IntegratorPolicy, Trajectory, integrate
 
 __all__ = [
     "LEDGER_HEADER",
+    "HOLDER_MIN_SNAPSHOTS",
     "NormSuite",
     "EnergyLedger",
     "HolderReport",
     "DependenceReport",
-    "AprioriReport",
     "norms",
     "energy_balance_residual",
     "h1_balance_residual",
-    "apriori_monitor",
     "weak_residual",
     "bihari_tstar",
     "bihari_general",
     "holder_quotient",
     "continuous_dependence",
-    "completed_square_residual",
     "three_d_energy_identity",
+    "identity_ensemble",
 ]
 
 LEDGER_HEADER = (
@@ -313,52 +313,6 @@ def h1_balance_residual(traj: Trajectory, params: LLBarParams) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class AprioriReport:
-    """Band-stability witness for the level-r estimate ladder."""
-
-    level: int
-    sup_norms: tuple[float, ...]
-    dissipation_integrals: tuple[float, ...]
-    passed: bool
-
-
-def apriori_monitor(
-    ledgers: Sequence[EnergyLedger], params: LLBarParams, r: int
-) -> AprioriReport:
-    """Check the level-r uniform bounds across a band-refinement sequence.
-
-    For each ledger: sup over time of the level-r norm, and the trapezoid
-    integral of the squared level-(r+2) norm.  The report passes when all
-    quantities are finite and each consecutive band pair agrees within a
-    factor of two --- the structural reading of "bounded independently of
-    the band", whose constant is not constructive.
-    """
-    if not 0 <= r <= 3:
-        raise ValueError(f"regularity level must be in 0..3, got {r}")
-    if not ledgers:
-        raise ValueError("at least one ledger required")
-    sups = []
-    integrals = []
-    for ledger in ledgers:
-        sup = float(ledger.column(_LEVEL_COLUMNS[r]).max())
-        high = ledger.column(_LEVEL_COLUMNS[r + 2]) ** 2
-        integrals.append(float(np.trapezoid(high, ledger.times)))
-        sups.append(sup)
-    passed = all(np.isfinite(sups)) and all(np.isfinite(integrals))
-    for seq in (sups, integrals):
-        for a, b in zip(seq, seq[1:]):
-            lo, hi = sorted((a, b))
-            if hi > 1e-12 and (lo < 0.5 * hi):
-                passed = False
-    return AprioriReport(
-        level=r,
-        sup_norms=tuple(sups),
-        dissipation_integrals=tuple(integrals),
-        passed=passed,
-    )
-
-
 def weak_residual(traj: Trajectory, phi: VectorField | SpectralField) -> np.ndarray:
     """Residual of the time-integrated weak form against one test function.
 
@@ -475,7 +429,7 @@ class HolderReport:
             raise ValueError(f"sup quotient must be finite, got {self.sup_quotient}")
 
 
-_HOLDER_MIN_SNAPSHOTS = 10
+HOLDER_MIN_SNAPSHOTS = 10
 
 
 def holder_quotient(traj: Trajectory, exponent: float, norm: str = "L2") -> HolderReport:
@@ -485,8 +439,8 @@ def holder_quotient(traj: Trajectory, exponent: float, norm: str = "L2") -> Hold
     if norm not in ("L2", "Linf"):
         raise ValueError(f"norm must be 'L2' or 'Linf', got {norm!r}")
     n = len(traj.snapshots)
-    if n < _HOLDER_MIN_SNAPSHOTS:
-        raise ValueError(f"at least {_HOLDER_MIN_SNAPSHOTS} snapshots required, got {n}")
+    if n < HOLDER_MIN_SNAPSHOTS:
+        raise ValueError(f"at least {HOLDER_MIN_SNAPSHOTS} snapshots required, got {n}")
     t = np.asarray(traj.times)
     if norm == "L2":
         flat = np.stack([s.coeffs.ravel() for s in traj.snapshots])
@@ -583,8 +537,18 @@ def continuous_dependence(
 def _completed_square(
     u: np.ndarray, ju: np.ndarray, jlap: np.ndarray, params: LLBarParams, vol: float
 ) -> np.ndarray:
-    """Completed-square residual per leading index, from padded samples of
-    u, (..., 3, nodes), and of the Jacobians of u and Lap u, (..., 3, d, nodes)."""
+    """Relative residual of the completed square, per leading index.
+
+    With alpha = beta5/(2 beta2), the combination
+
+        2 beta2 |grad Du|^2 - (4 alpha beta2 + 2 beta5) <grad Du, grad(|u|^2 u)>
+          + 4 alpha beta5 |grad(|u|^2 u)|^2
+
+    equals |sqrt(2 beta2) grad Du - sqrt(4 alpha beta5) grad(|u|^2 u)|^2
+    identically.  Both sides are read from the same padded samples of u,
+    (..., 3, nodes), and of the Jacobians of u and Lap u, (..., 3, d,
+    nodes), so the residual probes pure floating-point algebra.
+    """
     if params.beta2 <= 0.0:
         raise ValueError("the completed square needs beta2 > 0")
     alpha = params.beta5 / (2.0 * params.beta2)
@@ -605,25 +569,9 @@ def _completed_square(
     return abs(lhs - rhs) / np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
 
 
-def completed_square_residual(s: SpectralField, params: LLBarParams) -> float:
-    """Relative residual of the completed-square rearrangement at one field.
-
-    With alpha = beta5/(2 beta2), the combination
-
-        2 beta2 |grad Du|^2 - (4 alpha beta2 + 2 beta5) <grad Du, grad(|u|^2 u)>
-          + 4 alpha beta5 |grad(|u|^2 u)|^2
-
-    equals |sqrt(2 beta2) grad Du - sqrt(4 alpha beta5) grad(|u|^2 u)|^2
-    identically; both sides are evaluated with the same quadrature, so the
-    residual probes pure floating-point algebra.
-    """
-    (u, _), (ju, jlap) = operators.padded_samples(s.grid, s.coeffs)
-    return float(_completed_square(u, ju, jlap, params, s.grid.padded_cell(s.modes)))
-
-
 def three_d_energy_identity(traj: Trajectory, params: LLBarParams) -> np.ndarray:
-    """Completed-square residual (:func:`completed_square_residual`) per
-    snapshot, all snapshots in one stacked evaluation.
+    """Completed-square residual (:func:`_completed_square`) per snapshot,
+    all snapshots in one stacked evaluation.
 
     The quartic/sextic monitors entering the three-dimensional estimate
     are checked finite along the way: :class:`NormSuite` raises
@@ -634,3 +582,78 @@ def three_d_energy_identity(traj: Trajectory, params: LLBarParams) -> np.ndarray
     stack = np.stack([s.coeffs for s in traj.snapshots])
     (u, _), (ju, jlap) = operators.padded_samples(traj.grid, stack)
     return _completed_square(u, ju, jlap, params, traj.grid.padded_cell(traj.modes))
+
+
+# Draws per stacked evaluation in identity_ensemble.  At d=2 16/8 a block
+# of 6 peaks at about 0.55 MB of temporaries, below what the inequality
+# ensemble peaks at; blocks of 8 or more ran at most 10% faster but raised
+# the peak resident memory of a process that runs both ensembles.
+_IDENTITY_BLOCK = 6
+
+
+def _identity_residuals(
+    grid: fields.GridSpec, modes: tuple[int, ...], params: LLBarParams, coeffs: np.ndarray
+) -> dict[str, np.ndarray]:
+    """The five identity residuals of each draw in a (n, 3, *modes) stack.
+
+    One stacked synthesis gives u, Lap u and the Jacobians of both, and
+    every residual but one is an array expression over the stack;
+    ``l2_balance`` pairs each draw with ``galerkin.rhs``, the code the
+    steppers run.
+    """
+    vol, lam = grid.padded_cell(modes), fields.eigenvalue_array(grid, modes)
+    (u, lap), (ju, jlap) = operators.padded_samples(grid, coeffs)
+    columns = (ju[:, :, j] for j in range(grid.dim))
+    sq = _norm_squares(grid, modes, coeffs, u, lap, columns)
+
+    parseval = abs(vol * _per_draw(u * u) - sq["L2"]) / np.maximum(1.0, sq["L2"])
+    square = _completed_square(u, ju, jlap, params, vol)
+
+    pointwise = np.concatenate([
+        operators._cubic_laplacian(u, ju, lap), operators._cubic(u), np.cross(u, lap, axis=-2)
+    ], axis=1)
+    projected = fields._transform_series(
+        pointwise.reshape(pointwise.shape[:2] + grid.padded(modes)),
+        grid.extents, ("cos",) * grid.dim, modes,
+    )
+    direct, cubic, cross = np.split(projected, 3, axis=1)
+    routes = np.sqrt(_per_draw((direct + lam * cubic) ** 2)) / np.maximum(
+        1.0, np.sqrt(_per_draw(direct**2))
+    )
+
+    pairing = np.array([
+        (galerkin.rhs(SpectralField(grid, modes, c), params).coeffs * c).sum() for c in coeffs
+    ])
+    balance = abs(_l2_balance(params, sq, pairing)) / np.maximum(1.0, abs(pairing))
+    precession = abs(_per_draw(cross * coeffs)) / np.maximum(1.0, sq["L2"])
+
+    return {
+        "parseval": parseval,
+        "cubic_laplacian_routes": routes,
+        "l2_balance": balance,
+        "precession_orthogonality": precession,
+        "completed_square": square,
+    }
+
+
+def identity_ensemble(
+    grid: fields.GridSpec, modes: tuple[int, ...], params: LLBarParams, seed: int, count: int
+) -> dict[str, tuple[float, int]]:
+    """Worst residual of each identity over draws 0..count-1 of ``seed``,
+    with the first index that attains it.
+
+    Draw ``i`` is ``fields.random_field(grid, modes, seed, i, decay=4.0)``.
+    The draws are stacked and evaluated ``_IDENTITY_BLOCK`` at a time, so
+    memory stays flat in ``count``.
+    """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    blocks = []
+    for start in range(0, count, _IDENTITY_BLOCK):
+        coeffs = np.stack([
+            fields.random_field(grid, modes, seed=seed, index=i, decay=4.0).coeffs
+            for i in range(start, min(start + _IDENTITY_BLOCK, count))
+        ])
+        blocks.append(_identity_residuals(grid, modes, params, coeffs))
+    residuals = {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
+    return {name: (float(r.max()), int(np.argmax(r))) for name, r in residuals.items()}

@@ -10,9 +10,7 @@ diagonal linear part with symbol m(k) = -beta1*lambda(k) - beta2*lambda(k)^2
 and a nonlinear remainder, ``nonlinear_term``, shared by ``rhs`` and the
 steppers.  It reuses one cubic transform for the ``(1 - |u|^2) u`` and
 ``Lap(|u|^2 u)`` contributions, exact to rounding on the band's padded grid
-(``dealias_pad`` = 2 midpoints per retained mode and axis).  ``f4``, the
-band projection of ``u x Lap(u)``, stays as the independent route to the
-precession term that the identity checks use.
+(``dealias_pad`` = 2 midpoints per retained mode and axis).
 """
 
 from __future__ import annotations
@@ -22,14 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fields, operators
+from . import fields
 from .fields import GridSpec, SpectralField
 
 __all__ = [
     "LLBarParams",
     "derive_beta1",
     "project",
-    "f4",
     "rhs",
     "rhs_linear_factor",
     "nonlinear_term",
@@ -142,21 +139,6 @@ def project(v: SpectralField, modes: tuple[int, ...]) -> SpectralField:
     keep = tuple(slice(0, min(m, b)) for m, b in zip(v.modes, out.modes))
     out.coeffs[(slice(None),) + keep] = v.coeffs[(slice(None),) + keep]
     return out
-
-
-def _precession(u_vals: np.ndarray, lap_vals: np.ndarray) -> np.ndarray:
-    """The precession density ``u x Lap(u)``, pointwise, from samples laid
-    out as ``operators``' pointwise forms take them."""
-    return np.cross(u_vals, lap_vals, axis=-2)
-
-
-def f4(v: SpectralField) -> SpectralField:
-    """Band projection of the precession density ``v x Lap(v)``."""
-    w = operators._pointwise(
-        _precession, v, None, operators.padded_values, operators.padded_laplacian_values
-    )
-    coeffs = fields._transform_series(w, v.grid.extents, ("cos",) * v.grid.dim, v.modes)
-    return SpectralField(grid=v.grid, modes=v.modes, coeffs=coeffs)
 
 
 def rhs(v: SpectralField, params: LLBarParams) -> SpectralField:

@@ -13,8 +13,6 @@ error.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .fields import (
@@ -34,12 +32,9 @@ __all__ = [
     "padded_laplacian_values",
     "padded_grad_laplacian",
     "padded_samples",
-    "grid_inner",
     "cubic_gradient_values",
     "cubic_laplacian_values",
     "cubic_band",
-    "delta_cubic_band",
-    "face_normal_derivative",
 ]
 
 
@@ -107,15 +102,6 @@ def padded_grad_laplacian(s: SpectralField, points: tuple[int, ...] | None = Non
     return padded_jacobian(laplacian(s), points)
 
 
-def grid_inner(a: np.ndarray, b: np.ndarray, grid: GridSpec, points: tuple[int, ...]) -> float:
-    """Midpoint-quadrature L2 inner product of two sample arrays.
-
-    Exact whenever the pointwise product a*b is band-limited below twice the
-    quadrature grid (the cosine-quadrature analogue of Parseval).
-    """
-    return float(math.prod(L / P for L, P in zip(grid.extents, points)) * np.sum(a * b))
-
-
 # ---------------------------------------------------------------------------
 # The cubic identities (nabla and Delta of |v|^2 v).
 # ---------------------------------------------------------------------------
@@ -175,55 +161,9 @@ def cubic_laplacian_values(s: SpectralField, points: tuple[int, ...] | None = No
     )
 
 
-def _band(s: SpectralField, modes: tuple[int, ...] | None, form, *samplers) -> SpectralField:
-    """Projection of a pointwise form onto a band, sampled on the wider band's padded grid."""
+def cubic_band(s: SpectralField, modes: tuple[int, ...] | None = None) -> SpectralField:
+    """Projection of |v|^2 v onto a band, sampled on the wider band's padded grid."""
     grid = s.grid
     target = s.modes if modes is None else tuple(modes)
-    w = _pointwise(form, s, grid.padded(tuple(map(max, s.modes, target))), *samplers)
+    w = _pointwise(_cubic, s, grid.padded(tuple(map(max, s.modes, target))), padded_values)
     return SpectralField(grid, target, _transform_series(w, grid.extents, ("cos",) * grid.dim, target))
-
-
-def cubic_band(s: SpectralField, modes: tuple[int, ...] | None = None) -> SpectralField:
-    """Projection of |v|^2 v onto a band."""
-    return _band(s, modes, _cubic, padded_values)
-
-
-def delta_cubic_band(s: SpectralField, modes: tuple[int, ...] | None = None) -> SpectralField:
-    """Projection of Delta(|v|^2 v) onto a band, assembled from the identity form."""
-    return _band(s, modes, _cubic_laplacian, padded_values, padded_jacobian, padded_laplacian_values)
-
-
-# ---------------------------------------------------------------------------
-# Boundary probe.
-# ---------------------------------------------------------------------------
-
-
-def face_normal_derivative(
-    samples: np.ndarray, grid: GridSpec, axis: int, side: int, stencil: int = 7
-) -> np.ndarray:
-    """One-sided estimate of the normal derivative at a box face.
-
-    ``samples`` is a scalar or component array over some midpoint grid
-    (trailing ``dim`` axes are spatial).  Uses a ``stencil``-node one-sided
-    difference (degree ``stencil - 1`` exact, i.e. 6th order for the
-    default), evaluated at the face itself, which is half a cell outside
-    the first node.
-    """
-    dim = grid.dim
-    spatial = samples.shape[-dim:]
-    h = grid.extents[axis] / spatial[axis]
-    t = np.arange(stencil) + 0.5
-    # Vandermonde: sum_i w_i t_i^q = delta_{q,1}  (derivative at the face, t=0)
-    V = np.vander(t, N=stencil, increasing=True).T
-    rhs = np.zeros(stencil)
-    rhs[1] = 1.0
-    w = np.linalg.solve(V, rhs)
-    ax = samples.ndim - dim + axis
-    if side == 0:
-        picks = np.arange(stencil)
-        sign = 1.0
-    else:
-        picks = spatial[axis] - 1 - np.arange(stencil)
-        sign = -1.0
-    sl = np.take(samples, picks, axis=ax)
-    return sign / h * np.tensordot(w, np.moveaxis(sl, ax, 0), axes=(0, 0))

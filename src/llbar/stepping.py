@@ -102,15 +102,20 @@ class IntegratorPolicy:
                 f"blowup_threshold must be positive, got {self.blowup_threshold}"
             )
         try:
-            n_full, remainder = _step_plan(self)
+            total = self.steps
         except OverflowError:  # t_end / dt beyond the float range
-            n_full, remainder = float("inf"), 0.0
-        total = n_full + (1 if remainder else 0)
+            total = float("inf")
         if total > self.max_steps:
             raise ValueError(
                 f"{total} steps needed to reach t_end={self.t_end} "
                 f"exceed max_steps={self.max_steps}"
             )
+
+    @property
+    def steps(self) -> int:
+        """Steps of ``dt`` to ``t_end``, a shorter closing step counted."""
+        n_full, remainder = _step_plan(self)
+        return n_full + (1 if remainder else 0)
 
 
 @dataclass(frozen=True)
@@ -274,7 +279,7 @@ def integrate(
     s = galerkin.project(s, s.modes if modes is None else modes)
 
     n_full, remainder = _step_plan(policy)
-    total = n_full + (1 if remainder else 0)
+    total = policy.steps
 
     traj = Trajectory(grid=s.grid, modes=s.modes, params=params, policy=policy)
 

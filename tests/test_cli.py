@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
 import math
 import os
+import pkgutil
 import platform
 import subprocess
 import sys
@@ -14,10 +17,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import llbar
 from llbar import cli, config, diagnostics, fields, galerkin, inequalities, operators, stepping
 from llbar.config import ConfigError, InitialSpec, build_initial, parse_config
 from llbar.fields import GridSpec
 from llbar.galerkin import LLBarParams
+
+import spectral_reference as ref
 
 GOOD = textwrap.dedent(
     """\
@@ -353,6 +359,37 @@ def _fresh_python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+def test_exports_resolve_and_cli_names_no_private_attribute():
+    # a deleted name cannot stay in an __all__, and cli reaches the other
+    # llbar modules only through their public names
+    modules = {"llbar": llbar} | {
+        f"llbar.{info.name}": importlib.import_module(f"llbar.{info.name}")
+        for info in pkgutil.iter_modules(llbar.__path__)
+    }
+    missing = [
+        f"{name}.{attr}"
+        for name, module in modules.items()
+        for attr in getattr(module, "__all__", ())
+        if not hasattr(module, attr)
+    ]
+    assert not missing, missing
+    siblings = {name.rpartition(".")[2] for name in modules}
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in siblings and node.attr.startswith("_")
+    ] + [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("llbar"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, private
+
+
 def test_python_dash_m_runs_the_cli():
     run = _fresh_python("-m", "llbar", "verify-identities", "--count", "1")
     assert run.returncode == 0, run.stderr
@@ -537,17 +574,41 @@ def test_verify_identities_smoke(capsys):
 
 
 def per_draw_identities(grid, modes, seed, count):
-    """The identity residuals of each draw alone, through the SpectralField entry points."""
+    """The identity residuals of each draw alone.
+
+    Parseval, the precession pairing and the completed square come from
+    explicit basis matrices, the L2 law from ``galerkin.rhs`` and the norm
+    suite.  The cubic-Laplacian residual is rounding noise that the
+    ensemble must report to 1e-12, so its two routes repeat the ensemble's
+    arithmetic one draw at a time: the pointwise product-rule form and the
+    projected cube, each projected by ``fields._transform_series``.
+    """
     params = cli._DEFAULT_PARAMS
+    dim, pad = grid.dim, grid.padded(modes)
+    vol, lam = ref.cell(grid, pad), ref.lam_of(grid, modes)
+    alpha = params.beta5 / (2.0 * params.beta2)
+
+    def inner(a, b):
+        return vol * float((a * b).sum())
+
     rows = {}
     for index in range(count):
         v = fields.random_field(grid, modes, seed=seed, index=index, decay=4.0)
-        coeff_sq = float((v.coeffs**2).sum())
-        vals = operators.padded_values(v)
-        quad = operators.grid_inner(vals, vals, grid, grid.padded(modes))
-        direct = operators.delta_cubic_band(v).coeffs
+        c = v.coeffs
+        coeff_sq = float((c**2).sum())
+        u, lap = ref.values(grid, c, (0,) * dim, pad), ref.values(grid, -lam * c, (0,) * dim, pad)
+        x, y = ref.jacobian(grid, -lam * c, pad), ref.cubic_gradient(u, ref.jacobian(grid, c, pad))
+        square_lhs = (
+            2.0 * params.beta2 * inner(x, x)
+            - (4.0 * alpha * params.beta2 + 2.0 * params.beta5) * inner(x, y)
+            + 4.0 * alpha * params.beta5 * inner(y, y)
+        )
+        z = math.sqrt(2.0 * params.beta2) * x - math.sqrt(4.0 * alpha * params.beta5) * y
+        direct = fields._transform_series(
+            operators.cubic_laplacian_values(v), grid.extents, ("cos",) * dim, modes
+        )
         composed = operators.laplacian(operators.cubic_band(v)).coeffs
-        pairing = float((galerkin.rhs(v, params).coeffs * v.coeffs).sum())
+        pairing = float((galerkin.rhs(v, params).coeffs * c).sum())
         suite = diagnostics.norms(v)
         dissipation = (
             -params.beta1 * suite.gradL2**2
@@ -557,15 +618,16 @@ def per_draw_identities(grid, modes, seed, count):
             - 2.0 * params.beta5 * suite.uDotGradU**2
             - params.beta5 * suite.absUabsGradU**2
         )
-        precession = float((galerkin.f4(v).coeffs * v.coeffs).sum())
+        precession = float((ref.project(grid, np.cross(u, lap, axis=0), modes, pad) * c).sum())
         residuals = {
-            "parseval": abs(quad - coeff_sq) / max(1.0, coeff_sq),
+            "parseval": abs(inner(u, u) - coeff_sq) / max(1.0, coeff_sq),
             "cubic_laplacian_routes": np.linalg.norm(direct - composed)
             / max(1.0, np.linalg.norm(direct)),
             "l2_balance": abs(pairing - dissipation)
             / max(1.0, abs(pairing), abs(dissipation)),
             "precession_orthogonality": abs(precession) / max(1.0, coeff_sq),
-            "completed_square": diagnostics.completed_square_residual(v, params),
+            "completed_square": abs(square_lhs - inner(z, z))
+            / max(1.0, abs(square_lhs), inner(z, z)),
         }
         for name, value in residuals.items():
             rows.setdefault(name, []).append(value)
@@ -577,29 +639,35 @@ def per_draw_identities(grid, modes, seed, count):
 )
 def test_identity_ensemble_matches_per_draw_routes(dim, points, modes):
     grid, band = cli._ensemble_space(dim, points, modes)
-    block = cli._IDENTITY_BLOCK
+    block = diagnostics._IDENTITY_BLOCK
     reference = per_draw_identities(grid, band, 3, 2 * block + 1)
     for count in (1, block - 1, block + 1, 2 * block + 1):
-        worst = cli._identity_ensemble(grid, band, cli._DEFAULT_PARAMS, 3, count)
+        worst = diagnostics.identity_ensemble(grid, band, cli._DEFAULT_PARAMS, 3, count)
         assert list(worst) == list(reference)
         for name, (value, index) in worst.items():
-            ref = reference[name][:count]
-            top = float(ref.max())
+            per_draw = reference[name][:count]
+            top = float(per_draw.max())
             assert abs(value - top) <= 1e-12 * top or max(value, top) < 1e-14, (name, count)
-            runner_up = np.sort(ref)[-2] if count > 1 else -math.inf
+            runner_up = np.sort(per_draw)[-2] if count > 1 else -math.inf
             if top - runner_up > 1e-15:  # a maximum tied within rounding has no fixed witness
-                assert index == int(np.argmax(ref)), (name, count)
+                assert index == int(np.argmax(per_draw)), (name, count)
+
+
+def test_identity_ensemble_rejects_an_empty_ensemble():
+    grid, modes = cli._ensemble_space(1, 8, 4)
+    with pytest.raises(ValueError, match="count must be at least 1, got 0"):
+        diagnostics.identity_ensemble(grid, modes, cli._DEFAULT_PARAMS, 0, 0)
 
 
 def test_identity_ensemble_memory_is_flat_in_count():
     grid, modes = cli._ensemble_space(2, 16, 8)
-    block = cli._IDENTITY_BLOCK
-    cli._identity_ensemble(grid, modes, cli._DEFAULT_PARAMS, 0, block)  # warm caches
+    block = diagnostics._IDENTITY_BLOCK
+    diagnostics.identity_ensemble(grid, modes, cli._DEFAULT_PARAMS, 0, block)  # warm caches
     peaks = []
     for count in (block, 8 * block):
         tracemalloc.start()
         try:
-            cli._identity_ensemble(grid, modes, cli._DEFAULT_PARAMS, 0, count)
+            diagnostics.identity_ensemble(grid, modes, cli._DEFAULT_PARAMS, 0, count)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

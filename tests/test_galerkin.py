@@ -16,6 +16,8 @@ from llbar import diagnostics, fields, galerkin, operators
 from llbar.fields import GridSpec, SpectralField
 from llbar.galerkin import LLBarParams
 
+import spectral_reference as ref
+
 
 PARAMS = LLBarParams(0.4, 0.01, 1.2, 0.7, 0.25)
 
@@ -80,7 +82,8 @@ def test_mode_band_and_projection():
 
 
 def test_f4_constant_times_mode_closed_form():
-    # u = (a e_k, b e_0, 0):  u x Delta u = (0, 0, lambda_k a b e_0 e_k)
+    # the precession term f4 = u x Delta u, read from the remainder with
+    # only beta4 on:  u = (a e_k, b e_0, 0)  gives  (0, 0, lambda_k a b e_0 e_k)
     L, N, k = 1.0, 16, 3
     a, b = 0.8, -0.5
     grid = GridSpec(extents=(L,), points=(N,))
@@ -88,18 +91,31 @@ def test_f4_constant_times_mode_closed_form():
     coeffs[0, k] = a
     coeffs[1, 0] = b
     s = SpectralField(grid=grid, modes=(N,), coeffs=coeffs)
-    out = galerkin.f4(s)
+    out, _ = galerkin.nonlinear_term(s, LLBarParams(0.0, 0.0, 0.0, 1.0, 0.0))
     lam = (k * np.pi / L) ** 2
     expected = np.zeros((3, N))
     expected[2, k] = lam * a * b * np.sqrt(1.0 / L)
-    np.testing.assert_allclose(out.coeffs, expected, atol=1e-12)
+    np.testing.assert_allclose(-out.coeffs, expected, atol=1e-12)
+
+
+def reference_terms(v):
+    """Band projections of |v|^2 v, v x Delta v and Delta(|v|^2 v) (the last
+    in its product-rule form), from explicit basis matrices."""
+    grid, modes = v.grid, v.modes
+    pad, origin = grid.padded(modes), (0,) * grid.dim
+    lam = ref.lam_of(grid, modes)
+    u, lap = ref.values(grid, v.coeffs, origin, pad), ref.values(grid, -lam * v.coeffs, origin, pad)
+    ju = ref.jacobian(grid, v.coeffs, pad)
+    pointwise = ((u * u).sum(axis=0) * u, np.cross(u, lap, axis=0), ref.cubic_laplacian(u, ju, lap))
+    return tuple(ref.project(grid, w, modes, pad) for w in pointwise)
 
 
 def test_f5_equals_f1_of_f3():
-    # two independent routes to Delta(|v|^2 v) on the band: product-rule
-    # assembly vs composing the projected cube with the Laplacian.  Exact
-    # because the 2x-padded quadrature keeps all cubic aliases outside the
-    # retained band.
+    # two independent routes to Delta(|v|^2 v) on the band: the remainder
+    # with only beta5 on, which composes -lambda with the projected cube
+    # f1 = f3, against the product-rule assembly f5 from explicit basis
+    # matrices.  Exact because the 2x-padded quadrature keeps all cubic
+    # aliases outside the retained band.
     for extents, points, band in [
         ((1.0,), (32,), (32,)),
         ((1.0, 0.8), (12, 12), (8, 6)),
@@ -108,10 +124,10 @@ def test_f5_equals_f1_of_f3():
         s = galerkin.project(
             fields.random_field(grid, points, seed=3, decay=2.0), band
         )
-        direct = operators.delta_cubic_band(s)
-        composed = operators.laplacian(operators.cubic_band(s))
-        gap = np.abs(direct.coeffs - composed.coeffs).max()
-        scale = max(1.0, np.abs(direct.coeffs).max())
+        _, _, direct = reference_terms(s)
+        composed, _ = galerkin.nonlinear_term(s, LLBarParams(0.0, 0.0, 0.0, 0.0, 1.0))
+        gap = np.abs(direct - composed.coeffs).max()
+        scale = max(1.0, np.abs(direct).max())
         assert gap < 1e-11 * scale, f"Lap-cubic routes differ by {gap} at {band}"
 
 
@@ -120,7 +136,8 @@ def test_rhs_weak_form_by_parts():
     #   -b1 <grad u, grad phi> - b2 <Delta u, Delta phi>
     #   + b3 <(1-|u|^2) u, phi> - b4 <u x Delta u, phi>
     #   - b5 <grad(|u|^2 u), grad phi>
-    # for every phi in the band; quadratures on the shared padded grid.
+    # for every phi in the band; quadratures on the band's padded grid,
+    # every sample from explicit basis matrices.
     grid = GridSpec(extents=(1.0, 1.1), points=(12, 12))
     band = (8, 8)
     u = galerkin.project(fields.random_field(grid, (12, 12), seed=4, decay=3.0), band)
@@ -129,22 +146,22 @@ def test_rhs_weak_form_by_parts():
     lhs = float((r.coeffs * phi.coeffs).sum())
 
     pts = grid.padded(band)
-    uv = operators.padded_values(u)
-    pv = operators.padded_values(phi)
-    Ju = operators.padded_jacobian(u)
-    Jp = operators.padded_jacobian(phi)
-    lap_u = operators.padded_laplacian_values(u)
-    lap_p = operators.padded_laplacian_values(phi)
+    lam = ref.lam_of(grid, band)
+    uv, pv = (ref.values(grid, f.coeffs, (0, 0), pts) for f in (u, phi))
+    Ju, Jp = (ref.jacobian(grid, f.coeffs, pts) for f in (u, phi))
+    lap_u, lap_p = (ref.values(grid, -lam * f.coeffs, (0, 0), pts) for f in (u, phi))
     cross = np.cross(uv, lap_u, axis=0)
-    cubic_grad = operators.cubic_gradient_values(u)
+    cubic_grad = ref.cubic_gradient(uv, Ju)
 
-    inner = operators.grid_inner
+    def inner(a, b):
+        return ref.cell(grid, pts) * float((a * b).sum())
+
     rhs_weak = (
-        -PARAMS.beta1 * inner(Ju, Jp, grid, pts)
-        - PARAMS.beta2 * inner(lap_u, lap_p, grid, pts)
-        + PARAMS.beta3 * (inner(uv, pv, grid, pts) - inner((uv**2).sum(axis=0) * uv, pv, grid, pts))
-        - PARAMS.beta4 * inner(cross, pv, grid, pts)
-        - PARAMS.beta5 * inner(cubic_grad, Jp, grid, pts)
+        -PARAMS.beta1 * inner(Ju, Jp)
+        - PARAMS.beta2 * inner(lap_u, lap_p)
+        + PARAMS.beta3 * (inner(uv, pv) - inner((uv**2).sum(axis=0) * uv, pv))
+        - PARAMS.beta4 * inner(cross, pv)
+        - PARAMS.beta5 * inner(cubic_grad, Jp)
     )
     assert abs(lhs - rhs_weak) < 1e-10 * max(1.0, abs(lhs)), (
         f"weak-form residual {lhs - rhs_weak}"
@@ -153,15 +170,17 @@ def test_rhs_weak_form_by_parts():
 
 def test_rhs_splits_into_linear_and_remainder():
     # rhs(v) = m(k) v + N(v); the remainder N, one shared padded pass,
-    # must match its assembly from the cubic, precession and Lap-cubic maps
+    # must match its assembly from the cubic, precession and Lap-cubic
+    # projections, each formed from explicit basis matrices
     grid = GridSpec(extents=(1.0,), points=(32,))
     band = (20,)
     v = galerkin.project(fields.random_field(grid, (32,), seed=6, decay=2.0), band)
     remainder, linf = galerkin.nonlinear_term(v, PARAMS)
+    cubic, precession, delta_cubic = reference_terms(v)
     assembled = (
-        PARAMS.beta3 * (v.coeffs - operators.cubic_band(v).coeffs)
-        - PARAMS.beta4 * galerkin.f4(v).coeffs
-        + PARAMS.beta5 * operators.delta_cubic_band(v).coeffs
+        PARAMS.beta3 * (v.coeffs - cubic)
+        - PARAMS.beta4 * precession
+        + PARAMS.beta5 * delta_cubic
     )
     gap = np.abs(remainder.coeffs - assembled).max()
     assert gap < 1e-11 * max(1.0, np.abs(assembled).max()), f"split gap {gap}"

@@ -19,6 +19,8 @@ from llbar import inequalities
 from llbar.fields import GridSpec
 from llbar.inequalities import Catalogue, SampleSpec
 
+import spectral_reference as ref
+
 
 def spec_for(band, seed=3, count=8, **kw):
     return SampleSpec(seed=seed, count=count, modes=band, **kw)
@@ -230,34 +232,8 @@ def full_catalogue(dim):
     )
 
 
-def basis(M, P, L, m):
-    """d^m/dx^m of the first M orthonormal cosines at P midpoints of [0, L]."""
-    x = (np.arange(P) + 0.5) * L / P
-    k = np.arange(M) * np.pi / L
-    norm = np.where(np.arange(M) == 0, np.sqrt(1.0 / L), np.sqrt(2.0 / L))
-    return norm * k**m * np.cos(np.outer(x, k) + m * np.pi / 2)
-
-
-def contract(mats, arr):
-    """Apply one matrix to each trailing axis of a (3, ...) array."""
-    for j, mat in enumerate(mats):
-        arr = np.moveaxis(np.tensordot(mat, arr, axes=(1, 1 + j)), 0, 1 + j)
-    return arr
-
-
-def alphas(dim, order):
-    return [a for a in np.ndindex(*(order + 1,) * dim) if sum(a) == order]
-
-
-def lam_of(grid, modes):
-    """lambda(k) = sum_j (k_j pi / L_j)^2 on a mode box."""
-    axes = np.meshgrid(*(np.arange(M) * np.pi / L for M, L in zip(modes, grid.extents)),
-                       indexing="ij")
-    return sum(k**2 for k in axes)
-
-
 def h_sq(grid, c, s):
-    lam = lam_of(grid, c.shape[1:])
+    lam = ref.lam_of(grid, c.shape[1:])
     return float((sum(lam**j for j in range(s + 1)) * (c**2).sum(axis=0)).sum())
 
 
@@ -275,28 +251,24 @@ def theta_of(dim, r, q, s1, s2):
 def reference_rows(grid, spec, catalogue):
     """(name, threshold, per-draw ratios) of every row of a full catalogue."""
     dim, pad = grid.dim, grid.padded(grid.points)
-    vol = float(np.prod([L / P for L, P in zip(grid.extents, pad)]))
+    vol = ref.cell(grid, pad)
     draw = [inequalities.draw_sample(grid, spec, i).coeffs for i in range(2 * spec.count)]
 
     def values(c, alpha):
-        return contract(
-            [basis(M, P, L, a) for M, P, L, a in zip(c.shape[1:], pad, grid.extents, alpha)], c
-        )
+        return ref.values(grid, c, alpha, pad)
 
     def project(w):  # midpoint quadrature onto the grid's cosines
-        return contract(
-            [basis(N, P, L, 0).T * (L / P) for N, P, L in zip(grid.points, pad, grid.extents)], w
-        )
+        return ref.project(grid, w, grid.points, pad)
 
     def w_inf_sq(c, k):
         return max(
             float((values(c, a) ** 2).sum(axis=0).max())
             for o in range(k + 1)
-            for a in alphas(dim, o)
+            for a in ref.alphas(dim, o)
         )
 
     def single(c):
-        lam, c2 = lam_of(grid, c.shape[1:]), (c**2).sum(axis=0)
+        lam, c2 = ref.lam_of(grid, c.shape[1:]), (c**2).sum(axis=0)
         m = [float((lam**k * c2).sum()) for k in range(6)]
         h = [sum(m[: s + 1]) for s in range(6)]
         out = [
@@ -313,7 +285,7 @@ def reference_rows(grid, spec, catalogue):
             else:
                 num = sum(
                     float(((values(c, a) ** 2).sum(axis=0) ** (q / 2)).sum()) * vol
-                    for o in range(r + 1) for a in alphas(dim, o)
+                    for o in range(r + 1) for a in ref.alphas(dim, o)
                 ) ** (1 / q)
             out.append(quotient(num, math.sqrt(h[s1]) ** theta * math.sqrt(h[s2]) ** (1 - theta)))
         return out
@@ -322,17 +294,17 @@ def reference_rows(grid, spec, catalogue):
         u, v = values(cu, (0,) * dim), values(cv, (0,) * dim)
         s = catalogue.product_s
         w = project(np.sqrt((u**2).sum(axis=0) * (v**2).sum(axis=0))[None])[0]
-        lam = lam_of(grid, grid.points)
+        lam = ref.lam_of(grid, grid.points)
         num = math.sqrt(float((sum(lam**j for j in range(s + 1)) * w**2).sum()))
         out = [quotient(num, math.sqrt(h_sq(grid, cu, s)) * math.sqrt(h_sq(grid, cv, s)))]
         gap = project((u**2).sum(axis=0) * u) - project((v**2).sum(axis=0) * v)
         for k in catalogue.cubic_ks:
-            num = math.sqrt(sum(float((values(gap, a) ** 2).sum()) * vol for a in alphas(dim, k)))
+            num = math.sqrt(sum(float((values(gap, a) ** 2).sum()) * vol for a in ref.alphas(dim, k)))
             den = (w_inf_sq(cu, k) + w_inf_sq(cv, k)) * math.sqrt(h_sq(grid, cu - cv, k))
             out.append(quotient(num, den))
         for k in catalogue.cross_ks:
             lhs = dgap = mixed = 0.0
-            for a in alphas(dim, k):
+            for a in ref.alphas(dim, k):
                 du, dv = values(cu, a), values(cv, a)
                 cross_gap = np.cross(u, du, axis=0) - np.cross(v, dv, axis=0)
                 lhs += float((cross_gap**2).sum()) * vol

