@@ -148,7 +148,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     while True:
         try:
-            ledger = diagnostics.EnergyLedger.from_trajectory(traj, params=cfg.params)
+            ledger = diagnostics.EnergyLedger.from_trajectory(traj)
             break
         except ValueError as err:  # a recorded norm overflowed the float range
             if not traj.aborted or len(traj) == 1:
@@ -334,6 +334,10 @@ def _cmd_holder(args: argparse.Namespace) -> int:
     )
     thin = replace(traj, times=traj.times[::2], snapshots=traj.snapshots[::2])
     dense = diagnostics.holder_quotient(traj, args.exponent, args.norm)
+    if dense.sup_quotient == 0.0:
+        raise ConfigError([
+            f"--amplitude: every difference underflows at {args.amplitude:g}; no quotient survives"
+        ])
     sparse = diagnostics.holder_quotient(thin, args.exponent, args.norm)
     change = abs(dense.sup_quotient - sparse.sup_quotient) / dense.sup_quotient
     print(
@@ -373,6 +377,15 @@ def _cmd_depend(args: argparse.Namespace) -> int:
         for delta in args.delta
     ]
     report = diagnostics.continuous_dependence(u0, v0s, _DEFAULT_PARAMS, policy, modes=modes)
+    vanished = [
+        f"{d:g}" for d, gap0, gap in zip(args.delta, report.deltas, report.terminal_diffs)
+        if min(gap0, gap) == 0.0
+    ]
+    if vanished:
+        raise ConfigError([
+            f"--delta: {', '.join(vanished)} vanished below the float resolution "
+            f"(initial or terminal gap 0)"
+        ])
 
     ratios = [gap / delta for delta, gap in zip(report.deltas, report.terminal_diffs)]
     for delta, gap, ratio, margin in zip(

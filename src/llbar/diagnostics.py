@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import fields, galerkin, operators
-from .fields import SpectralField, VectorField
+from .fields import SpectralField
 from .galerkin import LLBarParams
 from .inequalities import _per_draw
 from .stepping import BlowupError, IntegratorPolicy, Trajectory, integrate
@@ -226,14 +226,11 @@ class EnergyLedger:
         return len(self.records)
 
     @classmethod
-    def from_trajectory(
-        cls, traj: Trajectory, params: LLBarParams | None = None
-    ) -> "EnergyLedger":
-        params = traj.params if params is None else params
+    def from_trajectory(cls, traj: Trajectory) -> "EnergyLedger":
         records = [norms(u, t) for t, u in zip(traj.times, traj.snapshots)]
         ledger = cls(records=records)
         if len(records) >= 3:
-            ledger.residuals = list(energy_balance_residual(ledger, params))
+            ledger.residuals = list(energy_balance_residual(ledger, traj.params))
         return ledger
 
     def write_csv(self, path) -> None:
@@ -313,7 +310,7 @@ def h1_balance_residual(traj: Trajectory, params: LLBarParams) -> np.ndarray:
     )
 
 
-def weak_residual(traj: Trajectory, phi: VectorField | SpectralField) -> np.ndarray:
+def weak_residual(traj: Trajectory, phi: SpectralField) -> np.ndarray:
     """Residual of the time-integrated weak form against one test function.
 
     <u(t),phi> - <u0,phi> + int_0^t [ beta1 <grad u, grad phi>
@@ -324,16 +321,10 @@ def weak_residual(traj: Trajectory, phi: VectorField | SpectralField) -> np.ndar
     is -<rhs(u), phi>, read from one ``galerkin.rhs`` evaluation per
     snapshot.  ``phi`` must live in the trajectory's retained band.
     """
-    if isinstance(phi, VectorField):
-        phi_s = fields.forward(phi)
-    elif isinstance(phi, SpectralField):
-        phi_s = phi
-    else:
-        raise TypeError(f"unsupported test function type {type(phi).__name__}")
-    if phi_s.grid != traj.grid:
+    if phi.grid != traj.grid:
         raise ValueError("test function must live on the trajectory grid")
-    total = float(np.sqrt((phi_s.coeffs**2).sum()))
-    projected = galerkin.project(phi_s, traj.modes)
+    total = float(np.sqrt((phi.coeffs**2).sum()))
+    projected = galerkin.project(phi, traj.modes)
     kept = float(np.sqrt((projected.coeffs**2).sum()))
     if total > 0.0 and abs(total - kept) > 1e-10 * total:
         raise ValueError(
@@ -359,7 +350,10 @@ def bihari_tstar(y0: float, c: float = 0.0) -> float:
         raise ValueError(f"y0 must be positive, got {y0}")
     if not (c >= 0.0 and math.isfinite(c)):
         raise ValueError(f"c must be nonnegative, got {c}")
-    return 0.25 * (y0 + c) ** -4
+    try:
+        return 0.25 * (y0 + c) ** -4
+    except OverflowError:
+        raise ValueError(f"(y0+c)^-4 / 4 overflows the float range at y0+c = {y0 + c:g}") from None
 
 
 def bihari_general(
@@ -483,12 +477,11 @@ class DependenceReport:
 
 
 def continuous_dependence(
-    u0: VectorField | SpectralField,
-    v0s: Sequence[VectorField | SpectralField],
+    u0: SpectralField,
+    v0s: Sequence[SpectralField],
     params: LLBarParams,
     policy: IntegratorPolicy,
     modes: tuple[int, ...] | None = None,
-    cadence: int = 1,
 ) -> DependenceReport:
     """Run the base data once and each perturbed datum in ``v0s``, and
     compare every terminal separation to its Gronwall envelope
@@ -501,8 +494,8 @@ def continuous_dependence(
     if not v0s:
         raise ValueError("at least one perturbed datum required")
 
-    def run(w0: VectorField | SpectralField, band: tuple[int, ...] | None) -> Trajectory:
-        traj = integrate(w0, params, policy, modes=band, cadence=cadence)
+    def run(w0: SpectralField, band: tuple[int, ...] | None) -> Trajectory:
+        traj = integrate(w0, params, policy, modes=band)
         if traj.aborted:
             raise BlowupError(*traj.blowup)
         return traj

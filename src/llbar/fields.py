@@ -97,11 +97,6 @@ class GridSpec:
         """Cell volume of the band's padded midpoint grid."""
         return math.prod(L / P for L, P in zip(self.extents, self.padded(modes)))
 
-    def axis_coords(self, axis: int, points: int | None = None) -> np.ndarray:
-        """Midpoint coordinates along one axis (optionally at another resolution)."""
-        N = self.points[axis] if points is None else points
-        return (np.arange(N) + 0.5) * (self.extents[axis] / N)
-
 
 def _check_finite(name: str, data: np.ndarray) -> None:
     if not np.all(np.isfinite(data)):
@@ -424,18 +419,13 @@ def _derivative_multiplier(
 # ---------------------------------------------------------------------------
 
 
-def forward(u: VectorField, modes: tuple[int, ...] | None = None) -> SpectralField:
-    """Orthonormal cosine expansion of a sampled field.
-
-    Exact (to rounding) for fields band-limited to the grid; the optional
-    ``modes`` truncates to a retained band.
-    """
+def forward(u: VectorField) -> SpectralField:
+    """Orthonormal cosine expansion of a sampled field on all of its grid,
+    exact (to rounding) for fields band-limited to the grid."""
     grid = u.grid
-    if modes is None:
-        modes = grid.points
     all_cos = ("cos",) * grid.dim
-    coeffs = _transform_series(u.data, grid.extents, all_cos, tuple(modes))
-    return SpectralField(grid, tuple(modes), coeffs)
+    coeffs = _transform_series(u.data, grid.extents, all_cos, grid.points)
+    return SpectralField(grid, grid.points, coeffs)
 
 
 def inverse(s: SpectralField) -> VectorField:

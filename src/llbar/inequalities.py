@@ -52,7 +52,6 @@ __all__ = [
     "summarize",
 ]
 
-AMPLITUDE_LAWS = ("flat", "decay")
 _CONSTANT_ONE_SLACK = 1e-9
 _ZERO_CUT = 1e-14
 # Pairs per block of draws.  A block holds a handful of (2 * _BLOCK_PAIRS,
@@ -65,24 +64,16 @@ REPORT_HEADER = "inequality,max_ratio,median_ratio,violations,witness_seed"
 @dataclass(frozen=True)
 class SampleSpec:
     """Deterministic description of a random-field ensemble: ``count``
-    draws keyed by ``seed`` on the first ``modes`` per axis."""
+    draws keyed by ``seed`` on the first ``modes`` per axis, each from the
+    flat law of :func:`fields.random_field`."""
 
     seed: int
     count: int
     modes: tuple[int, ...]
-    amplitude_law: str = "flat"
-    decay: float = 0.0
 
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError(f"count must be at least 1, got {self.count}")
-        if self.amplitude_law not in AMPLITUDE_LAWS:
-            raise ValueError(
-                f"amplitude_law must be one of {AMPLITUDE_LAWS}, got "
-                f"{self.amplitude_law!r}"
-            )
-        if self.decay < 0.0:
-            raise ValueError(f"decay exponent must be nonnegative, got {self.decay}")
 
 
 @dataclass(frozen=True)
@@ -104,10 +95,7 @@ class RatioReport:
 
 
 def draw_sample(grid: GridSpec, spec: SampleSpec, index: int) -> SpectralField:
-    decay = spec.decay if spec.amplitude_law == "decay" else 0.0
-    return fields.random_field(
-        grid, spec.modes, seed=spec.seed, index=index, decay=decay
-    )
+    return fields.random_field(grid, spec.modes, seed=spec.seed, index=index)
 
 
 _ELLIPTIC_IDS = ("eq1", "eq2", "eq5", "eq6", "eq8")

@@ -77,11 +77,10 @@ def padded_samples(grid: GridSpec, coeffs: np.ndarray) -> tuple[np.ndarray, np.n
 # ---------------------------------------------------------------------------
 
 
-def padded_values(s: SpectralField, points: tuple[int, ...] | None = None) -> np.ndarray:
-    """Field samples on the band's padded midpoint grid, shape (3, *points)."""
+def padded_values(s: SpectralField) -> np.ndarray:
+    """Field samples on the band's padded midpoint grid, shape (3, *padded)."""
     grid = s.grid
-    pts = grid.padded(s.modes) if points is None else points
-    return _eval_series(s.coeffs, grid.extents, ("cos",) * grid.dim, pts)
+    return _eval_series(s.coeffs, grid.extents, ("cos",) * grid.dim, grid.padded(s.modes))
 
 
 def padded_sup(s: SpectralField) -> float:
@@ -89,17 +88,16 @@ def padded_sup(s: SpectralField) -> float:
     return float(np.sqrt((padded_values(s) ** 2).sum(axis=0).max()))
 
 
-def padded_jacobian(s: SpectralField, points: tuple[int, ...] | None = None) -> np.ndarray:
-    pts = s.grid.padded(s.modes) if points is None else points
-    return _jacobian_values(s.grid, s.coeffs, pts)
+def padded_jacobian(s: SpectralField) -> np.ndarray:
+    return _jacobian_values(s.grid, s.coeffs, s.grid.padded(s.modes))
 
 
-def padded_laplacian_values(s: SpectralField, points: tuple[int, ...] | None = None) -> np.ndarray:
-    return padded_values(laplacian(s), points)
+def padded_laplacian_values(s: SpectralField) -> np.ndarray:
+    return padded_values(laplacian(s))
 
 
-def padded_grad_laplacian(s: SpectralField, points: tuple[int, ...] | None = None) -> np.ndarray:
-    return padded_jacobian(laplacian(s), points)
+def padded_grad_laplacian(s: SpectralField) -> np.ndarray:
+    return padded_jacobian(laplacian(s))
 
 
 # ---------------------------------------------------------------------------
@@ -141,29 +139,25 @@ def _cubic_laplacian(v: np.ndarray, J: np.ndarray, Lv: np.ndarray) -> np.ndarray
     )
 
 
-def _pointwise(form, s: SpectralField, points, *samplers) -> np.ndarray:
-    """``form`` of the samplers' readings of ``s`` on ``points`` (default:
-    the band's padded grid), with the spatial axes restored."""
-    pts = s.grid.padded(s.modes) if points is None else points
-    out = form(*(_nodes(sample(s, pts), s.grid.dim) for sample in samplers))
-    return out.reshape(out.shape[:-1] + pts)
+def _pointwise(form, s: SpectralField, *samplers) -> np.ndarray:
+    """``form`` of the samplers' readings of ``s`` on the band's padded
+    grid, with the spatial axes restored."""
+    out = form(*(_nodes(sample(s), s.grid.dim) for sample in samplers))
+    return out.reshape(out.shape[:-1] + s.grid.padded(s.modes))
 
 
-def cubic_gradient_values(s: SpectralField, points: tuple[int, ...] | None = None) -> np.ndarray:
-    """nabla(|v|^2 v) sampled pointwise, shape (3, d, *points)."""
-    return _pointwise(_cubic_gradient, s, points, padded_values, padded_jacobian)
+def cubic_gradient_values(s: SpectralField) -> np.ndarray:
+    """nabla(|v|^2 v) sampled pointwise, shape (3, d, *padded)."""
+    return _pointwise(_cubic_gradient, s, padded_values, padded_jacobian)
 
 
-def cubic_laplacian_values(s: SpectralField, points: tuple[int, ...] | None = None) -> np.ndarray:
+def cubic_laplacian_values(s: SpectralField) -> np.ndarray:
     """Delta(|v|^2 v) sampled pointwise from the identity form."""
-    return _pointwise(
-        _cubic_laplacian, s, points, padded_values, padded_jacobian, padded_laplacian_values
-    )
+    return _pointwise(_cubic_laplacian, s, padded_values, padded_jacobian, padded_laplacian_values)
 
 
-def cubic_band(s: SpectralField, modes: tuple[int, ...] | None = None) -> SpectralField:
-    """Projection of |v|^2 v onto a band, sampled on the wider band's padded grid."""
+def cubic_band(s: SpectralField) -> SpectralField:
+    """Projection of |v|^2 v onto the band of ``s``, sampled on its padded grid."""
     grid = s.grid
-    target = s.modes if modes is None else tuple(modes)
-    w = _pointwise(_cubic, s, grid.padded(tuple(map(max, s.modes, target))), padded_values)
-    return SpectralField(grid, target, _transform_series(w, grid.extents, ("cos",) * grid.dim, target))
+    w = _pointwise(_cubic, s, padded_values)
+    return SpectralField(grid, s.modes, _transform_series(w, grid.extents, ("cos",) * grid.dim, s.modes))

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
-from . import fields, galerkin, operators
+from . import galerkin, operators
 from .fields import GridSpec, SpectralField
 from .galerkin import LLBarParams
 
@@ -107,7 +106,7 @@ class IntegratorPolicy:
             total = float("inf")
         if total > self.max_steps:
             raise ValueError(
-                f"{total} steps needed to reach t_end={self.t_end} "
+                f"{total:.6g} steps needed to reach t_end={self.t_end} "
                 f"exceed max_steps={self.max_steps}"
             )
 
@@ -222,7 +221,6 @@ class Trajectory:
     grid: GridSpec
     modes: tuple[int, ...]
     params: LLBarParams
-    policy: IntegratorPolicy
     times: list[float] = field(default_factory=list)
     snapshots: list[SpectralField] = field(default_factory=list)
     aborted: bool = False
@@ -252,42 +250,33 @@ def _step_plan(policy: IntegratorPolicy) -> tuple[int, float]:
 
 
 def integrate(
-    u0: fields.VectorField | SpectralField,
+    u0: SpectralField,
     params: LLBarParams,
     policy: IntegratorPolicy,
     modes: tuple[int, ...] | None = None,
     cadence: int = 1,
-    monitor: Callable[[float, SpectralField], None] | None = None,
 ) -> Trajectory:
     """March ``u0`` to ``policy.t_end`` recording every ``cadence``-th step.
 
     The data is first projected onto ``modes`` (truncated or zero-filled;
-    default: the field's own modes, all of the grid for vector-field data).
-    When ``t_end`` is not a step multiple, a single shorter final step
-    closes the gap.  A blow-up stops the march and returns the partial
-    trajectory with ``aborted`` set instead of propagating the error; the
-    final state is checked against ``policy.blowup_threshold`` too.
+    default: the field's own modes).  When ``t_end`` is not a step
+    multiple, a single shorter final step closes the gap.  A blow-up stops
+    the march and returns the partial trajectory with ``aborted`` set
+    instead of propagating the error; the final state is checked against
+    ``policy.blowup_threshold`` too.
     """
     if cadence < 1:
         raise ValueError(f"cadence must be at least 1, got {cadence}")
-    if isinstance(u0, fields.VectorField):
-        s = fields.forward(u0)
-    elif isinstance(u0, SpectralField):
-        s = u0
-    else:
-        raise TypeError(f"cannot integrate initial data of type {type(u0).__name__}")
-    s = galerkin.project(s, s.modes if modes is None else modes)
+    s = galerkin.project(u0, u0.modes if modes is None else modes)
 
     n_full, remainder = _step_plan(policy)
     total = policy.steps
 
-    traj = Trajectory(grid=s.grid, modes=s.modes, params=params, policy=policy)
+    traj = Trajectory(grid=s.grid, modes=s.modes, params=params)
 
     def record(t: float, u: SpectralField) -> None:
         traj.times.append(t)
         traj.snapshots.append(u.copy())
-        if monitor is not None:
-            monitor(t, u)
 
     state = SolverState(t=0.0, u=s, step_index=0)
     record(0.0, state.u)

@@ -13,9 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 
+def midpoints(L, P):
+    """The P midpoints of [0, L]."""
+    return (np.arange(P) + 0.5) * L / P
+
+
 def basis(M, P, L, m):
     """d^m/dx^m of the first M orthonormal cosines at P midpoints of [0, L]."""
-    x = (np.arange(P) + 0.5) * L / P
+    x = midpoints(L, P)
     k = np.arange(M) * np.pi / L
     norm = np.where(np.arange(M) == 0, np.sqrt(1.0 / L), np.sqrt(2.0 / L))
     return norm * k**m * np.cos(np.outer(x, k) + m * np.pi / 2)

@@ -204,7 +204,7 @@ def test_criterion_07_holder_quotients_stable():
     )
     assert not traj.aborted
     thin = Trajectory(
-        grid=traj.grid, modes=traj.modes, params=traj.params, policy=traj.policy,
+        grid=traj.grid, modes=traj.modes, params=traj.params,
         times=traj.times[::2], snapshots=traj.snapshots[::2],
     )
     lines = []

@@ -298,6 +298,14 @@ def test_run_off_cadence_final_record(tmp_path):
         (["holder", "--dim", "x"], 2, "--dim"),
         ([], 2, "command"),
         (["converge", "--bands", "4,x"], 2, "--bands"),
+        # below the float resolution the initial or the terminal gap is 0
+        (["depend", "--delta", "1e-30"], 2, "--delta: 1e-30 vanished"),
+        (["depend", "--delta", "1e-3,1e-21"], 2, "--delta: 1e-21 vanished"),
+        # every squared difference underflows, so no quotient survives
+        (["holder", "--amplitude", "1e-200"], 2, "--amplitude"),
+        (["holder", "--amplitude", "1e-300"], 2, "--amplitude"),
+        (["holder", "--amplitude", "1e-320"], 2, "--amplitude"),
+        (["tstar", "--y0", "1e-300"], 2, "float range"),
     ],
 )
 def test_error_paths_print_one_line(tmp_path, capsys, argv, code, detail):

@@ -251,7 +251,7 @@ def test_apriori_bounds_are_band_stable():
             u0, PARAMS, IntegratorPolicy(dt=2e-3, t_end=0.1),
             modes=(points // 2,), cadence=5,
         )
-        ledgers.append(EnergyLedger.from_trajectory(traj, PARAMS))
+        ledgers.append(EnergyLedger.from_trajectory(traj))
     for r in (0, 1):
         sups = [ledger.column(ladder[r]).max() for ledger in ledgers]
         integrals = [
@@ -275,6 +275,9 @@ def test_bihari_closed_form_and_monotonicity():
         diagnostics.bihari_tstar(0.0)
     with pytest.raises(ValueError):
         diagnostics.bihari_tstar(1.0, -1.0)
+    # (y0 + c)^-4 beyond the largest float
+    with pytest.raises(ValueError, match="float range"):
+        diagnostics.bihari_tstar(1e-300)
 
 
 @given(
@@ -315,7 +318,6 @@ def synthetic_trajectory(times, snapshots, grid):
         grid=grid,
         modes=snapshots[0].modes,
         params=PARAMS,
-        policy=IntegratorPolicy(dt=1.0, t_end=times[-1] if times[-1] > 0 else 1.0),
         times=list(times),
         snapshots=list(snapshots),
     )

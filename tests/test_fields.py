@@ -22,6 +22,8 @@ import pytest
 from llbar import fields, galerkin
 from llbar.fields import GridSpec, SpectralField, VectorField
 
+from spectral_reference import midpoints
+
 
 def basis_1d(k: int, L: float, x: np.ndarray) -> np.ndarray:
     """Orthonormal Neumann cosine e_k on [0, L]."""
@@ -57,8 +59,8 @@ def test_single_mode_evaluates_to_basis_function():
     # d=2, anisotropic box: coefficients are w.r.t. the orthonormal basis,
     # so a unit coefficient must reproduce e_{k1}(x) e_{k2}(y) exactly.
     grid = GridSpec(extents=(1.0, 0.7), points=(12, 10))
-    x = grid.axis_coords(0)
-    y = grid.axis_coords(1)
+    x = midpoints(1.0, 12)
+    y = midpoints(0.7, 10)
     for mode in [(0, 0), (3, 0), (0, 4), (5, 2)]:
         s = single_mode(grid, mode, component=1)
         vals = fields.inverse(s).data
@@ -109,7 +111,7 @@ def test_derivative_multiplier_matches_analytic():
     dc, parities = fields._derivative_multiplier(s.coeffs, grid.extents, (1,))
     assert parities == ("sin",)
     vals = fields._eval_series(dc, grid.extents, parities, (N,))
-    x = grid.axis_coords(0)
+    x = midpoints(L, N)
     expected = -(k * np.pi / L) * np.sqrt(2.0 / L) * np.sin(k * np.pi * x / L)
     np.testing.assert_allclose(vals[0], expected, atol=1e-12)
 
@@ -127,7 +129,7 @@ def test_padded_evaluation_is_same_function():
     grid = GridSpec(extents=(1.0,), points=(8,))
     s = fields.random_field(grid, (8,), seed=2)
     fine = fields._eval_series(s.coeffs, grid.extents, ("cos",), (24,))
-    xf = grid.axis_coords(0, 24)
+    xf = midpoints(1.0, 24)
     expected = np.zeros((3, 24))
     for k in range(8):
         expected += s.coeffs[:, k, None] * basis_1d(k, 1.0, xf)[None]

@@ -259,25 +259,23 @@ def test_band_sized_padding_is_exact(extents, points, modes):
     # the same readings on 2N points (N > M) may differ only by rounding
     grid = GridSpec(extents=extents, points=points)
     s = fields.random_field(grid, modes, seed=13, decay=2.0, amplitude=0.9)
-    ref = tuple(2 * N for N in points)
-    vol = np.prod([L / P for L, P in zip(extents, ref)])
+    fine = tuple(2 * N for N in points)
+    vol = ref.cell(grid, fine)
     lam = s.eigenvalues
+    zero = (0,) * grid.dim
 
-    def field(c):
-        return SpectralField(grid, modes, c)
-
-    u = operators.padded_values(s, ref)
-    lap = operators.padded_laplacian_values(s, ref)
-    jac = operators.padded_jacobian(s, ref)
+    u = ref.values(grid, s.coeffs, zero, fine)
+    lap = ref.values(grid, -lam * s.coeffs, zero, fine)
+    jac = ref.jacobian(grid, s.coeffs, fine)
     mag2 = (u**2).sum(axis=0)
     expected = dict(
         L2=(mag2.sum() * vol) ** 0.5,
         L4=((mag2**2).sum() * vol) ** 0.25,
         gradL2=((jac**2).sum() * vol) ** 0.5,
         deltaL2=((lap**2).sum() * vol) ** 0.5,
-        gradDeltaL2=((operators.padded_grad_laplacian(s, ref) ** 2).sum() * vol) ** 0.5,
-        delta2L2=((operators.padded_values(field(lam**2 * s.coeffs), ref) ** 2).sum() * vol) ** 0.5,
-        gradDelta2L2=((operators.padded_jacobian(field(lam**2 * s.coeffs), ref) ** 2).sum() * vol) ** 0.5,
+        gradDeltaL2=((ref.jacobian(grid, -lam * s.coeffs, fine) ** 2).sum() * vol) ** 0.5,
+        delta2L2=((ref.values(grid, lam**2 * s.coeffs, zero, fine) ** 2).sum() * vol) ** 0.5,
+        gradDelta2L2=((ref.jacobian(grid, lam**2 * s.coeffs, fine) ** 2).sum() * vol) ** 0.5,
         uDotGradU=((np.einsum("c...,cj...->j...", u, jac) ** 2).sum() * vol) ** 0.5,
         absUabsGradU=((mag2 * (jac**2).sum(axis=(0, 1))).sum() * vol) ** 0.5,
         uDotDeltaU=(((u * lap).sum(axis=0) ** 2).sum() * vol) ** 0.5,

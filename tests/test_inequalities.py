@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from llbar import inequalities
+from llbar import fields, inequalities
 from llbar.fields import GridSpec
 from llbar.inequalities import Catalogue, SampleSpec
 
@@ -64,21 +64,10 @@ def test_sample_spec_validation():
     band = (6,)
     with pytest.raises(ValueError, match="count"):
         SampleSpec(seed=0, count=0, modes=band)
-    with pytest.raises(ValueError, match="amplitude_law"):
-        SampleSpec(seed=0, count=1, modes=band, amplitude_law="spiky")
-    with pytest.raises(ValueError, match="decay"):
-        SampleSpec(seed=0, count=1, modes=band, decay=-1.0)
-    flat = inequalities.draw_sample(
-        GridSpec(extents=(1.0,), points=(8,)),
-        SampleSpec(seed=0, count=1, modes=band, decay=3.0),  # flat law: unused
-        0,
-    )
-    plain = inequalities.draw_sample(
-        GridSpec(extents=(1.0,), points=(8,)),
-        SampleSpec(seed=0, count=1, modes=band),
-        0,
-    )
-    assert np.array_equal(flat.coeffs, plain.coeffs)
+    # a witness index reproduces its draw: the flat law keyed by (seed, index)
+    grid = GridSpec(extents=(1.0,), points=(8,))
+    drawn = inequalities.draw_sample(grid, SampleSpec(seed=3, count=1, modes=band), 5)
+    assert np.array_equal(drawn.coeffs, fields.random_field(grid, band, seed=3, index=5).coeffs)
 
 
 def test_interp_ratios_are_exactly_one_on_eigenmodes():

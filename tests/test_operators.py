@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from llbar import fields, operators
+from llbar import fields, galerkin, operators
 from llbar.fields import GridSpec, SpectralField
 
 import spectral_reference as ref
@@ -71,11 +71,11 @@ def test_gradient_matches_analytic():
     Lx, Ly = 1.0, 0.8
     grid = GridSpec(extents=(Lx, Ly), points=(16, 16))
     s = mode_field(grid, {(0, 2, 5): 0.9, (1, 3, 0): -0.4, (2, 0, 1): 1.1})
-    J = operators.padded_jacobian(s, grid.points)
-    x = grid.axis_coords(0)[:, None]
-    y = grid.axis_coords(1)[None, :]
-    expected_dx = np.zeros((3, 16, 16))
-    expected_dy = np.zeros((3, 16, 16))
+    J = operators.padded_jacobian(s)
+    x = ref.midpoints(Lx, 32)[:, None]
+    y = ref.midpoints(Ly, 32)[None, :]
+    expected_dx = np.zeros((3, 32, 32))
+    expected_dy = np.zeros((3, 32, 32))
     for (c, k, m), a in {(0, 2, 5): 0.9, (1, 3, 0): -0.4, (2, 0, 1): 1.1}.items():
         expected_dx[c] += a * dbasis(k, Lx, x) * basis(m, Ly, y)
         expected_dy[c] += a * basis(k, Lx, x) * dbasis(m, Ly, y)
@@ -88,9 +88,9 @@ def test_grad_laplacian_matches_analytic():
     grid = GridSpec(extents=(L,), points=(16,))
     k, a = 5, 0.7
     s = mode_field(grid, {(1, k): a})
-    G = operators.padded_grad_laplacian(s, grid.points)
+    G = operators.padded_grad_laplacian(s)
     lam = (k * np.pi / L) ** 2
-    x = grid.axis_coords(0)
+    x = ref.midpoints(L, 32)
     np.testing.assert_allclose(G[1, 0], -lam * a * dbasis(k, L, x), atol=1e-11)
 
 
@@ -139,8 +139,8 @@ def test_nabla_cubic_single_mode_closed_form():
     L, N, k, a = 1.0, 24, 3, 0.9
     grid = GridSpec(extents=(L,), points=(N,))
     s = mode_field(grid, {(1, k): a})
-    G = operators.cubic_gradient_values(s, grid.points)
-    x = grid.axis_coords(0)
+    G = operators.cubic_gradient_values(s)
+    x = ref.midpoints(L, 2 * N)
     expected = a**3 * (
         3.0 / (2.0 * L) * dbasis(k, L, x) + 1.0 / (2.0 * L) * dbasis(3 * k, L, x)
     )
@@ -150,16 +150,17 @@ def test_nabla_cubic_single_mode_closed_form():
 
 def test_delta_cubic_dual_routes_agree():
     # identity-form assembly (product rule, pointwise) against the direct
-    # route -lambda * projection(|u|^2 u): distinct code paths, one answer
+    # route -lambda * projection(|u|^2 u), truncated to a band: distinct
+    # code paths, one answer
     for extents, points, band in [
         ((1.0,), (32,), (32,)),
         ((1.0, 0.9), (16, 12), (10, 8)),
     ]:
         grid = GridSpec(extents=extents, points=points)
         s = fields.random_field(grid, points, seed=6, decay=2.0)
-        pad = grid.padded(tuple(map(max, s.modes, band)))
-        direct = ref.project(grid, operators.cubic_laplacian_values(s, pad), band, pad)
-        c3 = operators.cubic_band(s, band)
+        pad = grid.padded(s.modes)
+        direct = ref.project(grid, operators.cubic_laplacian_values(s), band, pad)
+        c3 = galerkin.project(operators.cubic_band(s), band)
         lam = fields.eigenvalue_array(grid, band)
         composed = -lam * c3.coeffs
         scale = np.abs(composed).max()
@@ -170,8 +171,8 @@ def test_delta_cubic_dual_routes_agree():
 def test_synthesis_is_orthonormal_on_modes():
     # midpoint quadrature of synthesized unit modes is the identity matrix
     grid = GridSpec(extents=(0.9,), points=(8,))
-    samples = [operators.padded_values(mode_field(grid, {(0, k): 1.0}), (8,))[0] for k in range(8)]
-    gram = (0.9 / 8) * np.array([[float(a @ b) for b in samples] for a in samples])
+    samples = [operators.padded_values(mode_field(grid, {(0, k): 1.0}))[0] for k in range(8)]
+    gram = (0.9 / 16) * np.array([[float(a @ b) for b in samples] for a in samples])
     np.testing.assert_allclose(gram, np.eye(8), rtol=0.0, atol=1e-13)
 
 
@@ -193,12 +194,12 @@ def test_face_normal_derivative_vanishes_for_the_basis():
     # stencil's own truncation error below the certification level.
     grid = GridSpec(extents=(1.0,), points=(256,))
     s = fields.random_field(grid, (5,), seed=8, decay=2.0)
-    vals = operators.padded_values(s, (256,))
+    vals = fields.inverse(s).data
     ramp_grid = GridSpec(extents=(2.0,), points=(32,))
     for side in (0, 1):
         g = face_normal_derivative(vals, grid, side)
         worst = np.abs(g).max()
         assert worst < 1e-9, f"side {side} normal derivative {worst}"
         # the probe itself: a linear ramp has slope exactly 1 at both faces
-        slope = face_normal_derivative(ramp_grid.axis_coords(0), ramp_grid, side)
+        slope = face_normal_derivative(ref.midpoints(2.0, 32), ramp_grid, side)
         np.testing.assert_allclose(slope, 1.0, atol=1e-12)
