@@ -361,6 +361,9 @@ def _cmd_holder(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+_DELTA_RESOLUTION = 1e-4
+
+
 def _cmd_depend(args: argparse.Namespace) -> int:
     if not all(0.0 < d < math.inf for d in args.delta):
         raise ConfigError(
@@ -385,6 +388,18 @@ def _cmd_depend(args: argparse.Namespace) -> int:
         raise ConfigError([
             f"--delta: {', '.join(vanished)} vanished below the float resolution "
             f"(initial or terminal gap 0)"
+        ])
+    # a perturbation near the resolution of u0 is rounded on the way in, and
+    # its terminal gap reads rounding noise: the amplification is then void
+    unresolved = [
+        f"{d:g} (initial gap {gap0:.6g}, off by {abs(gap0 - d) / d:.2g})"
+        for d, gap0 in zip(args.delta, report.deltas)
+        if abs(gap0 - d) > _DELTA_RESOLUTION * d
+    ]
+    if unresolved:
+        raise ConfigError([
+            f"--delta: {', '.join(unresolved)} below the float resolution of the "
+            f"initial data (the initial gap must match to {_DELTA_RESOLUTION:g} relative)"
         ])
 
     ratios = [gap / delta for delta, gap in zip(report.deltas, report.terminal_diffs)]

@@ -15,6 +15,7 @@ that convergence, not smallness per se, is the claim being checked.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -173,12 +174,12 @@ def norms(u: SpectralField, t: float = 0.0) -> NormSuite:
     synthesis evaluates u and Lap u together, the Jacobian comes one
     column at a time, and :func:`_norm_squares` reduces every pointwise
     quantity into a few node vectors, all in the work set that
-    ``fields._padded_work`` caches per (grid, modes) for this and
+    ``fields._padded_work`` caches per band for this and
     ``galerkin.nonlinear_term``.
     """
     grid, modes = u.grid, u.modes
     extents, points, dim = grid.extents, grid.padded(modes), grid.dim
-    stack, values_work, column_work, nodes = fields._padded_work(grid, modes)
+    stack, values_work, column_work, nodes = fields._padded_work(grid.dealias_pad, modes)
     stack[:3] = u.coeffs
     np.multiply(u.coeffs, -u.eigenvalues[None], out=stack[3:])
     both = fields._eval_series(stack, extents, ("cos",) * dim, points, values_work)
@@ -343,7 +344,12 @@ def weak_residual(traj: Trajectory, phi: SpectralField) -> np.ndarray:
 
 
 def bihari_tstar(y0: float, c: float = 0.0) -> float:
-    """Guaranteed local time for the quintic comparison ODE: (y0+c)^-4 / 4."""
+    """Guaranteed local time for the quintic comparison ODE: (y0+c)^-4 / 4.
+
+    Raises ``ValueError`` where that time overflows the float range or
+    falls below the smallest normal double, where it would print as 0
+    or as a subnormal without a digit to trust.
+    """
     y0 = float(y0)
     c = float(c)
     if not (y0 > 0.0 and math.isfinite(y0)):
@@ -351,9 +357,14 @@ def bihari_tstar(y0: float, c: float = 0.0) -> float:
     if not (c >= 0.0 and math.isfinite(c)):
         raise ValueError(f"c must be nonnegative, got {c}")
     try:
-        return 0.25 * (y0 + c) ** -4
+        value = 0.25 * (y0 + c) ** -4
     except OverflowError:
         raise ValueError(f"(y0+c)^-4 / 4 overflows the float range at y0+c = {y0 + c:g}") from None
+    if value < sys.float_info.min:
+        raise ValueError(
+            f"(y0+c)^-4 / 4 underflows the normal float range at y0+c = {y0 + c:g}"
+        )
+    return value
 
 
 def bihari_general(

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -216,32 +216,108 @@ def _axis_matrices(parity: str, M: int, P: int, L: float) -> tuple[np.ndarray, n
     return synthesis, analysis
 
 
-def _apply_axis(
-    matrix: np.ndarray, arr: np.ndarray, axis: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Contract ``arr`` along ``axis`` with ``matrix`` (n_out x n_in).
+@lru_cache(maxsize=32)
+def _axis_transposes(parity: str, M: int, P: int, L: float) -> tuple[np.ndarray, np.ndarray]:
+    """C-contiguous, read-only copies of the transposed :func:`_axis_matrices` pair.
 
-    Every contraction is a stack of plain 2-D GEMMs on contiguous views:
-    ``matrix @ slab`` for each slab of the axes before ``axis``, or, on the
-    last axis, ``rows @ matrix.T`` for each slab of the leading axis.
-    OpenBLAS hands a product to its worker threads only above 2**18
-    multiply-adds, so per-slab products keep d=2 grids up to N = 32 on the
-    calling thread.  ``out``, a flat contiguous array with exactly as many
-    entries as the result and not overlapping ``arr``, receives the
-    product in place of a fresh array.
+    A last-axis pass multiplies its rows on the right by a transpose.
+    Against these copies OpenBLAS ran the d=2 products 1.5-1.8 times
+    faster than against the transposed views.
     """
+    transposes = tuple(np.ascontiguousarray(m.T) for m in _axis_matrices(parity, M, P, L))
+    for m in transposes:
+        m.setflags(write=False)
+    return transposes
+
+
+def _pocketfft_synthesis(arr: np.ndarray, *, axis: int, P: int, L: float, shift: int) -> np.ndarray:
+    from scipy import fft as sfft
+    # pocketfft zero-pads to n=P; the sine k=0 slot is dropped
+    inverse_pass = sfft.idst if shift else sfft.idct
+    return inverse_pass(
+        arr[_along(axis, slice(shift, None))] * math.sqrt(P / L),
+        type=2, n=P, axis=axis, norm="ortho",
+    )
+
+
+def _pocketfft_analysis(arr: np.ndarray, *, axis: int, M: int, P: int, L: float, shift: int) -> np.ndarray:
+    from scipy import fft as sfft
+    # keep the first M frequencies; DST index k-1 holds sine frequency k
+    forward_pass = sfft.dst if shift else sfft.dct
+    full = forward_pass(arr, type=2, norm="ortho", axis=axis)
+    kept = np.zeros(arr.shape[:axis] + (M,) + arr.shape[axis + 1 :])
+    kept[_along(axis, slice(shift, M))] = full[_along(axis, slice(0, M - shift))] * math.sqrt(L / P)
+    return kept
+
+
+@lru_cache(maxsize=128)
+def _passes(
+    shape: tuple[int, ...],
+    extents: tuple[float, ...],
+    parities: tuple[str, ...],
+    sizes: tuple[int, ...],
+    synthesis: bool,
+    matrix_max: int,
+) -> tuple[tuple, tuple[int, ...]]:
+    """The axis passes that take an array of ``shape`` to ``sizes`` along
+    its last ``len(extents)`` axes, and the shape they leave; cached, so
+    a transform looks up its matrices, reshapes and sizes once.
+
+    Synthesis (``sizes`` are points) goes last axis first, so the earlier
+    passes run on the still-truncated slab; analysis (``sizes`` are
+    modes) goes first axis first and truncates each axis as soon as it is
+    transformed.  A pass is ``(fft, matrix, left, stacked_in, stacked_out,
+    size)``.  A matrix pass is a stack of plain 2-D GEMMs on contiguous
+    operands: ``matrix @ slab`` (``left``) for each slab of the axes
+    before ``axis``, or, on the last axis, ``rows @ transpose`` for each
+    slab of the leading axis.  OpenBLAS hands a product to its worker
+    threads only above 2**18 multiply-adds, so per-slab products keep d=2
+    grids up to N = 32 on the calling thread.  An axis longer than
+    ``matrix_max`` points is a pocketfft pass, ``fft``.
+    """
+    lead = len(shape) - len(extents)
+    shape = list(shape)
+    plan = []
+    for j in reversed(range(len(extents))) if synthesis else range(len(extents)):
+        axis, n_in, n_out = lead + j, shape[lead + j], sizes[j]
+        M, P = (n_in, n_out) if synthesis else (n_out, n_in)
+        if synthesis and M > P:
+            raise ValueError(f"cannot evaluate {M} modes on {P} points along axis {j}")
+        before, after = math.prod(shape[:axis]), math.prod(shape[axis + 1 :])
+        shift, which = int(parities[j] == "sin"), 0 if synthesis else 1
+        if P > matrix_max:
+            fft = (
+                partial(_pocketfft_synthesis, axis=axis, P=P, L=extents[j], shift=shift)
+                if synthesis
+                else partial(_pocketfft_analysis, axis=axis, M=M, P=P, L=extents[j], shift=shift)
+            )
+            plan.append((fft, None, False, tuple(shape), None, 0))
+        elif axis < len(shape) - 1:
+            matrix = _axis_matrices(parities[j], M, P, extents[j])[which]
+            stacked = (before, n_in, after), (before, n_out, after)
+            plan.append((None, matrix, True, *stacked, before * n_out * after))
+        else:
+            matrix = _axis_transposes(parities[j], M, P, extents[j])[which]
+            rows = (before,) if len(shape) < 3 else (shape[0], before // shape[0])
+            plan.append((None, matrix, False, rows + (n_in,), rows + (n_out,), before * n_out))
+        shape[axis] = n_out
+    return tuple(plan), tuple(shape)
+
+
+def _replay(
+    plan: tuple, arr: np.ndarray, work: tuple[np.ndarray, np.ndarray] | None
+) -> np.ndarray:
+    """Run the passes of a :func:`_passes` plan on ``arr``; matrix pass n
+    writes ``work[n % 2]`` when ``work`` is given, a fresh array otherwise."""
     arr = np.ascontiguousarray(arr)
-    shape = arr.shape
-    n_in, n_out = shape[axis], matrix.shape[0]
-    if axis < arr.ndim - 1:
-        lead = math.prod(shape[:axis])
-        a, b, stacked = matrix, arr.reshape(lead, n_in, -1), (lead, n_out, -1)
-    elif arr.ndim < 3:
-        a, b, stacked = arr.reshape(-1, n_in), matrix.T, (-1, n_out)
-    else:
-        a, b, stacked = arr.reshape(shape[0], -1, n_in), matrix.T, (shape[0], -1, n_out)
-    result = np.matmul(a, b, out=None if out is None else out.reshape(stacked))
-    return result.reshape(shape[:axis] + (n_out,) + shape[axis + 1 :])
+    for n, (fft, matrix, left, stacked_in, stacked_out, size) in enumerate(plan):
+        arr = arr.reshape(stacked_in)
+        if fft is not None:
+            arr = fft(arr)
+            continue
+        out = None if work is None else work[n % 2][:size].reshape(stacked_out)
+        arr = np.matmul(matrix, arr, out=out) if left else np.matmul(arr, matrix, out=out)
+    return arr
 
 
 def _along(axis: int, index: slice) -> tuple[slice, ...]:
@@ -251,22 +327,34 @@ def _along(axis: int, index: slice) -> tuple[slice, ...]:
 _PAGE_BYTES = 4096
 
 
-def _page_aligned(size: int) -> np.ndarray:
-    """An uninitialised flat float64 buffer that starts on a 4 KiB page.
+def _page_aligned(shape: int | tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 array of ``shape`` that starts on a 4 KiB page.
 
-    The pointwise passes over work buffers read some and write others.
-    A written row that starts a few bytes past a read row, modulo 4 KiB,
+    The hot loops read some arrays and write others, pass after pass.  A
+    written array that starts a few bytes past a read one, modulo 4 KiB,
     makes each load wait on the store just before it whose low address
-    bits it matches (4K aliasing).  Where heap placement put the buffers
+    bits it matches (4K aliasing).  Where heap placement put the arrays
     so, the pointwise products of the d=2 nonlinear term ran up to 1.5
-    times slower on a 2-vCPU Xeon.  On page-aligned buffers rows of equal index share
-    their offset, and where a row holds a multiple of 512 nodes (any
-    power-of-two padded grid of at least 512 nodes) all rows fill whole
-    pages, so no such pair arises.
+    times slower on a 2-vCPU Xeon, and a product of two 3 x 32^2
+    coefficient arrays 1.7 times slower.  On page-aligned arrays rows of
+    equal index share their offset, and where a row holds a multiple of
+    512 entries (any power-of-two padded grid of at least 512 nodes) all
+    rows fill whole pages, so no such pair arises.
     """
+    size = math.prod(shape) if isinstance(shape, tuple) else shape
     raw = np.empty(size + _PAGE_BYTES // 8)
     start = -raw.ctypes.data % _PAGE_BYTES // 8
-    return raw[start : start + size]
+    return raw[start : start + size].reshape(shape)
+
+
+def _per_component(table: np.ndarray) -> np.ndarray:
+    """A read-only, page-aligned copy of a per-mode table repeated over
+    the three components: multiplying a coefficient block by it gives
+    the bits of the broadcast product, faster."""
+    stacked = _page_aligned((3,) + table.shape)
+    stacked[...] = table
+    stacked.setflags(write=False)
+    return stacked
 
 
 def _series_work(
@@ -288,26 +376,28 @@ def _series_work(
     return tuple(_page_aligned(max(sizes[k::2], default=0)) for k in (0, 1))
 
 
-@lru_cache(maxsize=2)
-def _padded_work(grid: GridSpec, modes: tuple[int, ...]) -> tuple:
-    """Padded-grid work set for one (grid, modes), shared by its two users.
+@lru_cache(maxsize=4)
+def _padded_work(dealias_pad: int, modes: tuple[int, ...]) -> tuple:
+    """Padded-grid work set for one band, shared by its two users.
 
     ``diagnostics.norms`` and ``galerkin.nonlinear_term`` draw every
     padded-grid array from it.  Neither calls the other, and each
     reduces what it needs to scalars or fresh arrays before it returns,
     so nothing a caller holds points into the set; the next call simply
-    overwrites it.  An entry holds at most about 22 doubles per node of
-    the band's padded grid (about 0.7 MiB for an 8^3 band, padded to
-    16^3), so the cache keeps only two.  The set is not thread-safe: two
-    threads evaluating on one (grid, modes) at once would overwrite each
-    other's arrays.
+    overwrites it.  The arrays depend on the band's padded grid only, so
+    the set is keyed by ``(dealias_pad, modes)`` and boxes of any extents
+    share it.  An entry holds at most about 22 doubles per node of the
+    padded grid (about 0.7 MiB for an 8^3 band, padded to 16^3); four
+    entries hold the three bands of ``llbar converge`` without eviction.
+    The set is not thread-safe: two threads evaluating on one band at
+    once would overwrite each other's arrays.
     """
-    points = grid.padded(modes)
+    points = tuple(dealias_pad * M for M in modes)
     return (
-        np.empty((6,) + modes),  # coefficients of u and Lap u
+        _page_aligned((6,) + modes),  # coefficients of u and Lap u
         _series_work(6, modes, points),  # u and Lap u; projection of 6 products
         _series_work(3, modes, points),  # one Jacobian column d_j u
-        _page_aligned(8 * math.prod(points)).reshape(8, -1),  # node vectors
+        _page_aligned((8, math.prod(points))),  # node vectors
     )
 
 
@@ -327,26 +417,8 @@ def _eval_series(
     that the next call with the same pair overwrites.  Pocketfft passes
     (axes longer than _MATRIX_MAX_POINTS) leave ``work`` unused.
     """
-    lead = coeffs.ndim - len(extents)  # leading (component) axes pass through untouched
-    arr = coeffs
-    for n, j in enumerate(reversed(range(len(extents)))):
-        axis, M, P = lead + j, coeffs.shape[lead + j], out_points[j]
-        if M > P:
-            raise ValueError(f"cannot evaluate {M} modes on {P} points along axis {j}")
-        if P <= _MATRIX_MAX_POINTS:
-            synthesis, _ = _axis_matrices(parities[j], M, P, extents[j])
-            out = None if work is None else work[n % 2][: arr.size // M * P]
-            arr = _apply_axis(synthesis, arr, axis, out)
-        else:
-            from scipy import fft as sfft
-            # pocketfft zero-pads to n=P; the sine k=0 slot is dropped
-            shift = int(parities[j] == "sin")
-            inverse_pass = sfft.idst if shift else sfft.idct
-            arr = inverse_pass(
-                arr[_along(axis, slice(shift, None))] * math.sqrt(P / extents[j]),
-                type=2, n=P, axis=axis, norm="ortho",
-            )
-    return arr
+    plan, shape = _passes(coeffs.shape, extents, parities, out_points, True, _MATRIX_MAX_POINTS)
+    return _replay(plan, coeffs, work).reshape(shape)
 
 
 def _transform_series(
@@ -364,25 +436,8 @@ def _transform_series(
     passes write into its two buffers in turn, and the result may be a
     view into it.
     """
-    lead = values.ndim - len(extents)
-    arr = values
-    for j in range(len(extents)):
-        axis, M, P = lead + j, modes[j], values.shape[lead + j]
-        if P <= _MATRIX_MAX_POINTS:
-            _, analysis = _axis_matrices(parities[j], M, P, extents[j])
-            out = None if work is None else work[j % 2][: arr.size // P * M]
-            arr = _apply_axis(analysis, arr, axis, out)
-        else:
-            from scipy import fft as sfft
-            # keep the first M frequencies; DST index k-1 holds sine frequency k
-            shift = int(parities[j] == "sin")
-            forward_pass = sfft.dst if shift else sfft.dct
-            full = forward_pass(arr, type=2, norm="ortho", axis=axis)
-            arr = np.zeros(arr.shape[:axis] + (M,) + arr.shape[axis + 1 :])
-            arr[_along(axis, slice(shift, M))] = full[
-                _along(axis, slice(0, M - shift))
-            ] * math.sqrt(extents[j] / P)
-    return arr
+    plan, shape = _passes(values.shape, extents, parities, modes, False, _MATRIX_MAX_POINTS)
+    return _replay(plan, values, work).reshape(shape)
 
 
 _DERIV_SIGN = (1.0, -1.0, -1.0, 1.0)  # d^m/dx^m cos: sign pattern by m mod 4

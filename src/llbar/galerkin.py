@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -160,6 +161,18 @@ def rhs_linear_factor(
     return -params.beta1 * lam - params.beta2 * lam * lam
 
 
+@lru_cache(maxsize=32)
+def _nonlinear_tables(
+    grid: GridSpec, modes: tuple[int, ...], params: LLBarParams
+) -> tuple[tuple[int, ...], tuple[str, ...], np.ndarray, np.ndarray]:
+    """The band's padded grid and parities, and (3, *modes) tables of
+    ``-lambda(k)`` and ``beta5 * lambda(k)``, the first factor of
+    ``beta5 * lambda * c3``; built once per (grid, modes, params)."""
+    lam = fields.eigenvalue_array(grid, modes)
+    tables = fields._per_component(-lam), fields._per_component(params.beta5 * lam)
+    return (grid.padded(modes), ("cos",) * grid.dim, *tables)
+
+
 def nonlinear_term(
     v: SpectralField, params: LLBarParams
 ) -> tuple[SpectralField, float]:
@@ -172,34 +185,38 @@ def nonlinear_term(
     analysis pass serves the cubic and cross products, with the
     ``Lap(|v|^2 v)`` term folded in as ``-lambda(k)`` times the cubic
     coefficients.  Every padded-grid array comes from the work set that
-    ``fields._padded_work`` caches per (grid, modes); the returned
-    coefficients are fresh.
+    ``fields._padded_work`` caches per band, and the coefficients are
+    combined in place in the one fresh array that is returned.
     """
-    grid = v.grid
-    extents, points, all_cos = grid.extents, grid.padded(v.modes), ("cos",) * grid.dim
-    lam = fields.eigenvalue_array(grid, v.modes)
-    stacked, series_work, _, nodes = fields._padded_work(grid, v.modes)
-    stacked[:3] = v.coeffs
-    np.multiply(v.coeffs, -lam[None], out=stacked[3:])
-    vals = fields._eval_series(stacked, extents, all_cos, points, series_work)
-    u_vals, lap_vals = np.split(vals.reshape(6, -1), 2)
-    products, norm2, tmp = nodes[:6], nodes[6], nodes[7]
-    np.multiply(u_vals[0], u_vals[0], out=norm2)
-    for c in (1, 2):
-        norm2 += np.multiply(u_vals[c], u_vals[c], out=tmp)
-    linf = float(np.sqrt(norm2.max()))
-    np.multiply(u_vals, norm2[None], out=products[:3])
-    # cross product written out to skip np.cross's axis shuffling
-    for i, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
-        np.multiply(u_vals[a], lap_vals[b], out=products[3 + i])
-        products[3 + i] -= np.multiply(u_vals[b], lap_vals[a], out=tmp)
+    grid, modes, extents = v.grid, v.modes, v.grid.extents
+    points, all_cos, neg_lam, beta5_lam = _nonlinear_tables(grid, modes, params)
+    stacked, series_work, _, nodes = fields._padded_work(grid.dealias_pad, modes)
+    # rows u_0, Lap u_0, u_1, Lap u_1, ...: strided views then pair the
+    # factors of the cross product's terms without copies
+    stacked[0::2] = v.coeffs
+    np.multiply(v.coeffs, neg_lam, out=stacked[1::2])
+    vals = fields._eval_series(stacked, extents, all_cos, points, series_work).reshape(6, -1)
+    u_vals = vals[0::2]
+    products, spare = nodes[:6], nodes[6:]
+    norm2 = spare[0]
+    squares = np.multiply(u_vals, u_vals, out=products[:3])
+    np.add(squares[0], squares[1], out=norm2)
+    norm2 += squares[2]
+    linf = math.sqrt(norm2.max())
+    np.multiply(u_vals, norm2, out=products[:3])
+    # u x Lap u = (u1 L2 - u2 L1, u2 L0 - u0 L2, u0 L1 - u1 L0)
+    cross = products[3:]
+    np.multiply(vals[2:5:2], vals[5::-4], out=cross[:2])  # u1 L2, u2 L0
+    np.multiply(vals[0], vals[3], out=cross[2])  # u0 L1
+    cross[:2] -= np.multiply(vals[4::-4], vals[3:6:2], out=spare)  # u2 L1, u0 L2
+    cross[2] -= np.multiply(vals[2], vals[1], out=spare[0])  # u1 L0
     analysis = fields._transform_series(
-        products.reshape((6,) + points), extents, all_cos, v.modes, series_work
+        products.reshape((6,) + points), extents, all_cos, modes, series_work
     )
     c3, c4 = analysis[:3], analysis[3:]
-    coeffs = (
-        params.beta3 * (v.coeffs - c3)
-        - params.beta4 * c4
-        - params.beta5 * lam[None] * c3
-    )
-    return SpectralField(grid=grid, modes=v.modes, coeffs=coeffs), linf
+    # beta3 (v - c3) - beta4 c4 - beta5 lambda c3, left to right, in place
+    coeffs = np.subtract(v.coeffs, c3)
+    coeffs *= params.beta3
+    coeffs -= np.multiply(c4, params.beta4, out=c4)
+    coeffs -= np.multiply(beta5_lam, c3, out=c3)
+    return SpectralField(grid=grid, modes=modes, coeffs=coeffs), linf

@@ -19,12 +19,13 @@ trajectories are bitwise reproducible regardless of restart points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-from . import galerkin, operators
+from . import fields, galerkin, operators
 from .fields import GridSpec, SpectralField
 from .galerkin import LLBarParams
 
@@ -149,7 +150,7 @@ def _etdrk2_tables(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m = galerkin.rhs_linear_factor(grid, modes, params)
     z = dt * m
-    return np.exp(z), dt * phi1(z), dt * phi2(z)
+    return tuple(map(fields._per_component, (np.exp(z), dt * phi1(z), dt * phi2(z))))
 
 
 @lru_cache(maxsize=32)
@@ -160,11 +161,22 @@ def _imex_tables(
     euler_denom = 1.0 - dt * m
     cn_num = 1.0 + 0.5 * dt * m
     cn_denom = 1.0 - 0.5 * dt * m
-    return euler_denom, cn_num, cn_denom
+    return tuple(map(fields._per_component, (euler_denom, cn_num, cn_denom)))
+
+
+@lru_cache(maxsize=8)
+def _stage_work(modes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Two (3, *modes) arrays for the stage arithmetic of :func:`step`.
+
+    Every step writes them before it reads them, and nothing it returns
+    points into them, so steps on any bands may interleave.  Not
+    thread-safe, like ``fields._padded_work``.
+    """
+    return fields._page_aligned((3,) + modes), fields._page_aligned((3,) + modes)
 
 
 def _check_blowup(t: float, linf: float, threshold: float) -> None:
-    if not np.isfinite(linf) or linf > threshold:
+    if not math.isfinite(linf) or linf > threshold:
         raise BlowupError(t, linf)
 
 
@@ -172,30 +184,39 @@ def step(
     state: SolverState, params: LLBarParams, policy: IntegratorPolicy
 ) -> SolverState:
     """Advance one step of ``policy.dt``; raises :class:`BlowupError` when
-    the max-norm passes ``policy.blowup_threshold`` or turns non-finite."""
+    the max-norm passes ``policy.blowup_threshold`` or turns non-finite.
+
+    The stage arithmetic runs in place, in the operation order of the
+    schemes' formulas, so only the returned state is allocated (besides
+    the fresh remainders ``galerkin.nonlinear_term`` returns).
+    """
     u = state.u
     grid, modes = u.grid, u.modes
     h = policy.dt
     n0, linf = galerkin.nonlinear_term(u, params)
     _check_blowup(state.t, linf, policy.blowup_threshold)
-    prev: SpectralField | None = None
+    a, b = _stage_work(modes)
+    new = np.empty_like(a)
     if policy.scheme == "ETDRK2":
+        # a = e^z u + h phi1 n0;  new = a + h phi2 (na - n0)
         expz, hphi1, hphi2 = _etdrk2_tables(grid, modes, params, h)
-        a = expz[None] * u.coeffs + hphi1[None] * n0.coeffs
-        stage = SpectralField(grid=grid, modes=modes, coeffs=a)
-        na, _ = galerkin.nonlinear_term(stage, params)
-        new = a + hphi2[None] * (na.coeffs - n0.coeffs)
-    elif policy.scheme == "IMEX-Euler":
+        np.multiply(expz, u.coeffs, out=a)
+        a += np.multiply(hphi1, n0.coeffs, out=b)
+        na, _ = galerkin.nonlinear_term(SpectralField(grid=grid, modes=modes, coeffs=a), params)
+        np.subtract(na.coeffs, n0.coeffs, out=b)
+        np.add(a, np.multiply(hphi2, b, out=b), out=new)
+    elif policy.scheme == "IMEX-Euler" or state.prev_nonlinear is None:
+        # new = (u + h n0) / (1 - h m); IMEX-CNAB2 starts with this step
         euler_denom, _, _ = _imex_tables(grid, modes, params, h)
-        new = (u.coeffs + h * n0.coeffs) / euler_denom[None]
-    else:  # IMEX-CNAB2
-        euler_denom, cn_num, cn_denom = _imex_tables(grid, modes, params, h)
-        if state.prev_nonlinear is None:
-            new = (u.coeffs + h * n0.coeffs) / euler_denom[None]
-        else:
-            explicit = 1.5 * n0.coeffs - 0.5 * state.prev_nonlinear.coeffs
-            new = (cn_num[None] * u.coeffs + h * explicit) / cn_denom[None]
-        prev = n0
+        np.add(u.coeffs, np.multiply(n0.coeffs, h, out=b), out=b)
+        np.divide(b, euler_denom, out=new)
+    else:  # IMEX-CNAB2: new = ((1 + h m / 2) u + h (3/2 n0 - 1/2 n_prev)) / (1 - h m / 2)
+        _, cn_num, cn_denom = _imex_tables(grid, modes, params, h)
+        np.multiply(n0.coeffs, 1.5, out=a)
+        a -= np.multiply(state.prev_nonlinear.coeffs, 0.5, out=b)
+        np.multiply(cn_num, u.coeffs, out=b)
+        b += np.multiply(a, h, out=a)
+        np.divide(b, cn_denom, out=new)
     t_new = (state.step_index + 1) * h + (state.t - state.step_index * h)
     if not np.isfinite(new).all():
         raise BlowupError(t_new, float("inf"))
@@ -203,7 +224,7 @@ def step(
         t=t_new,
         u=SpectralField(grid=grid, modes=modes, coeffs=new),
         step_index=state.step_index + 1,
-        prev_nonlinear=prev,
+        prev_nonlinear=n0 if policy.scheme == "IMEX-CNAB2" else None,
     )
 
 

@@ -306,6 +306,13 @@ def test_run_off_cadence_final_record(tmp_path):
         (["holder", "--amplitude", "1e-300"], 2, "--amplitude"),
         (["holder", "--amplitude", "1e-320"], 2, "--amplitude"),
         (["tstar", "--y0", "1e-300"], 2, "float range"),
+        # below the smallest normal double the comparison time has no digit to trust
+        (["tstar", "--y0", "1e300"], 2, "--y0/--c: (y0+c)^-4 / 4 underflows"),
+        (["tstar", "--y0", "1e80"], 2, "--y0/--c: (y0+c)^-4 / 4 underflows"),
+        # a perturbation rounded on the way into u0 (initial gap off by more
+        # than 1e-4 relative) would read rounding noise as its amplification
+        (["depend", "--delta", "1e-3,3e-21"], 2, "--delta: 3e-21 (initial gap"),
+        (["depend", "--delta", "1e-3,1e-19"], 2, "--delta: 1e-19 (initial gap"),
     ],
 )
 def test_error_paths_print_one_line(tmp_path, capsys, argv, code, detail):
@@ -561,6 +568,17 @@ def test_overflow_is_one_blowup_line(tmp_path, capsys, argv):
         assert len((out / "state_ledger.csv").read_text().splitlines()) == 2
     else:
         assert not out.exists()
+
+
+def test_depend_accepts_a_delta_resolved_to_1e_4(capsys):
+    # at the defaults 1e-14 is 3.6e-5 off its requested size and passes;
+    # 1e-16, 4.3e-3 off, is the first size rejected
+    assert cli.main(["depend", "--delta", "1e-3,1e-14"]) == 0
+    assert capsys.readouterr().out.count("delta0 ") == 2
+    assert cli.main(["depend", "--delta", "1e-3,1e-16"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("llbar: config-error: --delta: 1e-16 (initial gap"), err
+    assert err.count("\n") == 1
 
 
 def test_tstar_subcommand(capsys):

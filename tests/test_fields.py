@@ -316,13 +316,46 @@ def test_axis_matrices_match_scipy(P):
             assert abs(row_sum) <= 4e-16, k
 
 
+def test_matrix_passes_multiply_contiguous_read_only_matrices(monkeypatch):
+    # every matrix pass is a stack of GEMMs on contiguous operands: a
+    # leading-axis pass multiplies slabs on the left by the cached matrix,
+    # and a last-axis pass multiplies rows on the right by the cached
+    # C-contiguous transpose, never by a transposed view
+    matmul, seen = np.matmul, []
+
+    def spy(a, b, *args, **kwargs):
+        seen.append((a, b))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    rng = np.random.default_rng(3)
+    for extents, modes, points, lead in [
+        ((1.3,), (20,), (64,), (3,)),
+        ((1.0, 0.8), (32, 32), (64, 64), (6,)),
+        ((1.0, 0.8, 1.2), (8, 8, 8), (16, 16, 16), (3,)),
+        ((1.0, 0.8, 1.2), (5, 8, 7), (10, 16, 14), (2, 3)),
+    ]:
+        for parities in itertools.product(("cos", "sin"), repeat=len(extents)):
+            coeffs = rng.standard_normal(lead + modes)
+            work = fields._series_work(math.prod(lead), modes, points)
+            for w in (None, work):
+                values = fields._eval_series(coeffs, extents, parities, points, w).copy()
+                fields._transform_series(values, extents, parities, modes, w)
+    right = [b for a, b in seen if b.ndim == 2]  # rows @ transpose
+    left = [a for a, b in seen if b.ndim == 3]  # matrix @ slabs
+    assert right and left and len(right) + len(left) == len(seen)
+    for matrix in right + left:
+        assert matrix.ndim == 2 and matrix.flags["C_CONTIGUOUS"]
+        assert not matrix.flags["WRITEABLE"]
+
+
 def test_padded_work_starts_on_pages():
     # every padded-grid work buffer starts a 4 KiB page, so rows of equal
     # index in different buffers share their page offset (no 4K aliasing
     # between the read and written rows of the pointwise passes)
     grid = GridSpec(extents=(1.0, 0.8), points=(32, 32))
-    stack, synthesis, column, nodes = fields._padded_work(grid, (20, 32))
-    for buffer in (*synthesis, *column, nodes):
+    stack, synthesis, column, nodes = fields._padded_work(grid.dealias_pad, (20, 32))
+    for buffer in (stack, *synthesis, *column, nodes):
         assert buffer.ctypes.data % 4096 == 0
         assert buffer.flags["C_CONTIGUOUS"]
     assert nodes.shape == (8, 40 * 64)
@@ -333,7 +366,7 @@ def test_padded_work_is_sized_by_the_band():
     # products of an 8^3 band are exact on its own 16^3 padded grid, so
     # the work set of a 16^3 grid holds 16^3 nodes per vector, not 32^3
     grid = GridSpec(extents=(1.0, 0.8, 1.2), points=(16, 16, 16))
-    stack, synthesis, column, nodes = fields._padded_work(grid, (8, 8, 8))
+    stack, synthesis, column, nodes = fields._padded_work(grid.dealias_pad, (8, 8, 8))
     assert nodes.shape == (8, 16**3)
     assert max(buffer.size for buffer in (*synthesis, *column)) == 6 * 16**3
 

@@ -222,8 +222,8 @@ def test_nonlinear_term_reuses_its_buffers():
     ],
 )
 def test_nonlinear_term_results_do_not_alias_the_work_set(extents, points, modes):
-    # nonlinear_term and norms share one work set per (grid, modes); what
-    # either returns must survive later calls on other fields
+    # nonlinear_term and norms share one work set per band; what either
+    # returns must survive later calls on other fields
     grid = GridSpec(extents=extents, points=points)
     a = fields.random_field(grid, modes, seed=2, decay=4.0, amplitude=0.8)
     b = fields.random_field(grid, modes, seed=3, decay=4.0, amplitude=0.8)
@@ -234,13 +234,26 @@ def test_nonlinear_term_results_do_not_alias_the_work_set(extents, points, modes
     diagnostics.norms(a)
     assert np.array_equal(na.coeffs, kept)
     assert not np.array_equal(nb.coeffs, kept)
-    stack, synthesis, column, nodes = fields._padded_work(grid, modes)
+    stack, synthesis, column, nodes = fields._padded_work(grid.dealias_pad, modes)
     for buffer in (stack, *synthesis, *column, nodes):
         assert not np.shares_memory(na.coeffs, buffer)
     fields._padded_work.cache_clear()
     fresh, linf_fresh = galerkin.nonlinear_term(a, PARAMS)
     assert fresh.coeffs.tobytes() == kept.tobytes()
     assert linf_fresh == linf_a
+
+
+def test_work_sets_are_kept_per_band():
+    # a work set depends on the band's padded grid only, so boxes of other
+    # extents share it, and converge's three bands (8, 16, 32) stay cached
+    # together: a second pass over them builds no new set
+    fields._padded_work.cache_clear()
+    for extents in ((1.0,), (1.7,)):
+        for M in (8, 16, 32, 8, 16, 32):
+            u = fields.random_field(GridSpec(extents, (32,)), (M,), seed=M)
+            galerkin.nonlinear_term(u, PARAMS)
+            diagnostics.norms(u)
+    assert fields._padded_work.cache_info().misses == 3
 
 
 @pytest.mark.parametrize(

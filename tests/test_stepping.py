@@ -121,6 +121,54 @@ def test_scheme_orders():
             assert abs(p - want) < 0.3, f"{scheme} measured orders {orders}"
 
 
+@pytest.mark.parametrize("scheme", stepping.SCHEMES)
+def test_interleaved_steps_share_no_buffers(scheme):
+    # step and nonlinear_term keep their stage arrays and padded-grid work
+    # sets per band; steps on two bands, and two fields on one band, taken
+    # in turn must give each trajectory the bytes it has when run alone,
+    # and nothing a step or a nonlinear_term call returns may change later
+    runs = [
+        (GridSpec((1.0, 0.8), (32, 32)), (32, 32), 1),
+        (GridSpec((1.0, 0.8, 1.2), (16, 16, 16)), (8, 8, 8), 2),
+        (GridSpec((1.0, 0.8), (32, 32)), (32, 32), 3),
+    ]
+    policy = IntegratorPolicy(dt=1e-3, t_end=1.0, scheme=scheme)
+
+    def start(grid, modes, seed):
+        u0 = fields.random_field(grid, modes, seed=seed, decay=4.0, amplitude=0.8)
+        return SolverState(t=0.0, u=u0, step_index=0)
+
+    def record(state):
+        prev = state.prev_nonlinear
+        return state.u.coeffs.tobytes(), None if prev is None else prev.coeffs.tobytes()
+
+    alone = []
+    for grid, modes, seed in runs:
+        state, rows = start(grid, modes, seed), []
+        for _ in range(4):
+            state = stepping.step(state, PARAMS, policy)
+            rows.append(record(state))
+        alone.append(rows)
+
+    states = [start(*run) for run in runs]
+    held = [[] for _ in runs]
+    for _ in range(4):
+        for k, state in enumerate(states):
+            states[k] = stepping.step(state, PARAMS, policy)
+            held[k].append(states[k])
+            assert record(states[k]) == alone[k][len(held[k]) - 1]
+    remainder, _ = galerkin.nonlinear_term(held[0][0].u, PARAMS)
+    kept = remainder.coeffs.tobytes()
+    for k, run in enumerate(runs):
+        galerkin.nonlinear_term(held[k][-1].u, PARAMS)
+        stepping.step(held[k][-1], PARAMS, policy)
+        assert [record(state) for state in held[k]] == alone[k], run
+    assert remainder.coeffs.tobytes() == kept
+    for state in held[0]:
+        for buffer in stepping._stage_work((32, 32)):
+            assert not np.shares_memory(state.u.coeffs, buffer)
+
+
 def test_step_blowup_pre_and_post_check():
     grid = GridSpec(extents=(1.0,), points=(8,))
     big = SpectralField(
