@@ -327,7 +327,7 @@ def _along(axis: int, index: slice) -> tuple[slice, ...]:
 _PAGE_BYTES = 4096
 
 
-def _page_aligned(shape: int | tuple[int, ...]) -> np.ndarray:
+def _page_aligned(shape: tuple[int, ...]) -> np.ndarray:
     """An uninitialised float64 array of ``shape`` that starts on a 4 KiB page.
 
     The hot loops read some arrays and write others, pass after pass.  A
@@ -341,7 +341,7 @@ def _page_aligned(shape: int | tuple[int, ...]) -> np.ndarray:
     512 entries (any power-of-two padded grid of at least 512 nodes) all
     rows fill whole pages, so no such pair arises.
     """
-    size = math.prod(shape) if isinstance(shape, tuple) else shape
+    size = math.prod(shape)
     raw = np.empty(size + _PAGE_BYTES // 8)
     start = -raw.ctypes.data % _PAGE_BYTES // 8
     return raw[start : start + size].reshape(shape)
@@ -373,7 +373,7 @@ def _series_work(
         components * math.prod(modes[:j]) * math.prod(points[j:])
         for j in reversed(range(len(modes)))
     ]
-    return tuple(_page_aligned(max(sizes[k::2], default=0)) for k in (0, 1))
+    return tuple(_page_aligned((max(sizes[k::2], default=0),)) for k in (0, 1))
 
 
 @lru_cache(maxsize=4)
