@@ -22,17 +22,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
-import statistics
 import subprocess
 import sys
 import tempfile
 import time
-from importlib import metadata
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parents[1]
+import launcher
 
 _IMPORT_PROBE = (
     "import sys, time\n"
@@ -45,18 +41,6 @@ COMMANDS = {
     "verify_identities_s": ["verify-identities"],
     "depend_s": ["depend"],
 }
-
-
-def _git(tree: Path, *args: str) -> str:
-    run = subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
-    return run.stdout.strip() if run.returncode == 0 else ""
-
-
-def _version(package: str) -> str | None:
-    try:
-        return metadata.version(package)
-    except metadata.PackageNotFoundError:
-        return None
 
 
 def _sample(tree: Path, env: dict[str, str], workdir: str) -> dict[str, float | bool]:
@@ -78,60 +62,31 @@ def _sample(tree: Path, env: dict[str, str], workdir: str) -> dict[str, float | 
     return out
 
 
-def _summary(values: list[float]) -> dict[str, float]:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "--tree", action="append", default=[], metavar="LABEL=PATH",
-        help="a checkout to measure (repeatable; default: this one, as 'this')",
-    )
+    launcher.add_tree_argument(parser)
     parser.add_argument("--repeats", type=int, default=11, help="fresh processes per timing")
     parser.add_argument("--output", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     if args.repeats < 2:
         parser.error("--repeats must be at least 2 (quartiles need two samples)")
-    trees = {}
-    for spec in args.tree or [f"this={REPO}"]:
-        label, sep, path = spec.partition("=")
-        if not sep or not (Path(path) / "src" / "llbar").is_dir():
-            parser.error(f"--tree {spec!r}: expected LABEL=PATH of an llbar checkout")
-        trees[label] = Path(path).resolve()
+    trees = launcher.checkouts(parser, args.tree)
 
-    env = dict(os.environ)
-    env.setdefault("OPENBLAS_NUM_THREADS", "1")
+    env = launcher.one_blas_thread()
     samples: dict[str, list[dict]] = {label: [] for label in trees}
     with tempfile.TemporaryDirectory() as workdir:
         for tree in trees.values():
             _sample(tree, env, workdir)  # fill the bytecode caches
-        order = list(trees)
-        for round_ in range(args.repeats):
-            for label in order if round_ % 2 == 0 else order[::-1]:
-                samples[label].append(_sample(trees[label], env, workdir))
+        for label in launcher.alternating(list(trees), args.repeats):
+            samples[label].append(_sample(trees[label], env, workdir))
 
-    report = {
-        "machine": {
-            "cores": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "numpy": _version("numpy"),
-            "scipy": _version("scipy"),
-            "blas_threads": env["OPENBLAS_NUM_THREADS"],
-        },
-        "repeats": args.repeats,
-        "trees": {},
-    }
+    report = {"machine": launcher.machine(env), "repeats": args.repeats, "trees": {}}
     for label, tree in trees.items():
         rows = samples[label]
-        dirty = bool(_git(tree, "status", "--porcelain", "--untracked-files=no", "--", "src"))
-        entry = {"commit": _git(tree, "rev-parse", "HEAD"), "src_modified": dirty}
+        entry = launcher.commit(tree)
         entry["scipy_after_import"] = any(row["scipy_after_import"] for row in rows)
         for name in ("import_s", *COMMANDS):
-            values = [row[name] for row in rows]
-            entry[name] = {**_summary(values), "samples": values}
+            entry[name] = launcher.summary([row[name] for row in rows])
         report["trees"][label] = entry
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
     for label, entry in report["trees"].items():

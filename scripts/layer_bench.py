@@ -12,32 +12,29 @@ checkout runs first, the seconds per call of:
 - ``norms`` of a snapshot and ``inverse`` onto the grid;
 
 on three bands: d=2 32^2 on a 32^2 grid, d=3 8^3 on 16^3 and d=2 8^2 on
-16^2.  Each process times every layer as the median of several batches,
-so one sample per checkout and round.  With ``--pairs N`` it also runs N
-alternating pairs of ``perfbench/run.py --trace 0`` per ``--workload``
-and records every metric.  The JSON written to ``--output`` holds the
+16^2.  Each process times every layer as the median of seven batches
+of about ``BUDGET_S / 7`` seconds, so one sample per checkout and round,
+``REPEATS`` rounds.  With ``--pairs N`` it also runs N alternating pairs
+of ``perfbench/run.py --trace 0`` per ``--workload`` and records every
+metric.  The JSON written to ``--output`` holds the
 machine (cores, Python, numpy and scipy versions, BLAS thread count),
 each checkout's git commit, every sample, and the median and quartiles
 of each timing.  Standard library only, so the launcher itself imports
 neither numpy nor scipy.
 
     python scripts/layer_bench.py --tree before=../parent --tree after=. \\
-        --repeats 11 --output BENCH.json
+        --pairs 10 --workload run-d2-full-band --seed 4711 --output BENCH.json
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
-import statistics
 import subprocess
 import sys
-from importlib import metadata
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parents[1]
+import launcher
 
 # (label, extents, grid points, band); the band's padded grid is 2M per axis
 CASES = (
@@ -49,6 +46,8 @@ LAYERS = (
     "synthesis", "analysis", "nonlinear_term",
     "step_ETDRK2", "step_IMEX-CNAB2", "step_IMEX-Euler", "norms", "inverse",
 )
+REPEATS = 11  # fresh processes per checkout
+BUDGET_S = 0.35  # seconds per layer and process
 
 # Runs in a fresh interpreter with the checkout's src first on sys.path.
 # It reaches only names every checkout since the transform layer's
@@ -104,27 +103,10 @@ print(json.dumps(out))
 """
 
 
-def _git(tree: Path, *args: str) -> str:
-    run = subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
-    return run.stdout.strip() if run.returncode == 0 else ""
-
-
-def _version(package: str) -> str | None:
-    try:
-        return metadata.version(package)
-    except metadata.PackageNotFoundError:
-        return None
-
-
-def _summary(values: list[float]) -> dict[str, float]:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3}
-
-
-def _layers(tree: Path, env: dict[str, str], budget: float) -> dict:
+def _layers(tree: Path, env: dict[str, str]) -> dict:
     """One fresh-process reading of every layer on every case for ``tree``."""
     run = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(CASES), repr(budget)],
+        [sys.executable, "-c", _PROBE, json.dumps(CASES), repr(BUDGET_S)],
         env=dict(env, PYTHONPATH=str(tree / "src")), cwd=tree,
         capture_output=True, text=True, check=True,
     )
@@ -145,77 +127,56 @@ def _perfbench(tree: Path, env: dict[str, str], workload: str, seed: int, second
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "--tree", action="append", default=[], metavar="LABEL=PATH",
-        help="a checkout to measure (repeatable; default: this one, as 'this')",
-    )
-    parser.add_argument("--repeats", type=int, default=11, help="fresh processes per checkout")
-    parser.add_argument("--budget", type=float, default=0.35, help="seconds per layer and process")
+    launcher.add_tree_argument(parser)
     parser.add_argument("--pairs", type=int, default=0, help="perfbench runs per checkout and workload")
     parser.add_argument("--workload", action="append", default=[], help="perfbench workload (repeatable)")
     parser.add_argument("--seed", type=int, default=1, help="perfbench seed")
     parser.add_argument("--seconds", type=float, default=25.0, help="perfbench --seconds")
     parser.add_argument("--output", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
-    if args.repeats < 2 or args.pairs == 1:
-        parser.error("--repeats and --pairs need at least two samples (quartiles), or --pairs 0")
+    if args.pairs == 1:
+        parser.error("--pairs needs at least two runs (quartiles), or 0")
     if args.pairs and not args.workload:
         parser.error("--pairs needs at least one --workload")
-    trees = {}
-    for spec in args.tree or [f"this={REPO}"]:
-        label, sep, path = spec.partition("=")
-        if not sep or not (Path(path) / "src" / "llbar").is_dir():
-            parser.error(f"--tree {spec!r}: expected LABEL=PATH of an llbar checkout")
-        trees[label] = Path(path).resolve()
+    trees = launcher.checkouts(parser, args.tree)
+    workloads = args.workload if args.pairs else []
 
-    env = dict(os.environ)
-    env.setdefault("OPENBLAS_NUM_THREADS", "1")
+    env = launcher.one_blas_thread()
     order = list(trees)
     layers: dict[str, list[dict]] = {label: [] for label in trees}
-    for round_ in range(args.repeats):
-        for label in order if round_ % 2 == 0 else order[::-1]:
-            layers[label].append(_layers(trees[label], env, args.budget))
-    runs: dict[str, dict[str, list[dict]]] = {label: {} for label in trees}
-    for workload in args.workload if args.pairs else ():
-        for round_ in range(args.pairs):
-            for label in order if round_ % 2 == 0 else order[::-1]:
-                runs[label].setdefault(workload, []).append(
-                    _perfbench(trees[label], env, workload, args.seed, args.seconds)
-                )
+    for label in launcher.alternating(order, REPEATS):
+        layers[label].append(_layers(trees[label], env))
+    runs: dict[str, dict[str, list[dict]]] = {label: {w: [] for w in workloads} for label in trees}
+    for workload in workloads:
+        for label in launcher.alternating(order, args.pairs):
+            runs[label][workload].append(
+                _perfbench(trees[label], env, workload, args.seed, args.seconds)
+            )
 
     report = {
-        "machine": {
-            "cores": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "numpy": _version("numpy"),
-            "scipy": _version("scipy"),
-            "blas_threads": env["OPENBLAS_NUM_THREADS"],
-        },
-        "repeats": args.repeats,
+        "machine": launcher.machine(env),
+        "repeats": REPEATS,
         "unit": "seconds per call",
         "trees": {},
     }
-    if args.pairs:
+    if workloads:
         report["perfbench"] = {"pairs": args.pairs, "seed": args.seed, "seconds": args.seconds}
     for label, tree in trees.items():
-        dirty = bool(_git(tree, "status", "--porcelain", "--untracked-files=no", "--", "src"))
-        entry = {"commit": _git(tree, "rev-parse", "HEAD"), "src_modified": dirty, "layers": {}}
+        entry = {**launcher.commit(tree), "layers": {}}
         for case, *_ in CASES:
-            entry["layers"][case] = {}
-            for layer in LAYERS:
-                values = [sample[case][layer] for sample in layers[label]]
-                entry["layers"][case][layer] = {**_summary(values), "samples": values}
-        if args.pairs:
+            entry["layers"][case] = {
+                layer: launcher.summary([sample[case][layer] for sample in layers[label]])
+                for layer in LAYERS
+            }
+        if workloads:
             entry["perfbench"] = {}
             for workload, rows in runs[label].items():
                 entry["perfbench"][workload] = {"correct": all(row["correct"] for row in rows)}
                 for name in rows[0]:
                     if name != "correct":
-                        values = [row[name] for row in rows]
-                        entry["perfbench"][workload][name] = {**_summary(values), "samples": values}
+                        entry["perfbench"][workload][name] = launcher.summary([row[name] for row in rows])
         report["trees"][label] = entry
-    if args.pairs and len(order) == 2:
+    if workloads and len(order) == 2:
         # pair k is run k of each checkout; count where the second reads lower
         report["perfbench"]["second_lower"] = {
             workload: {
@@ -224,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
                 ))
                 for name in ("setup_s", "op_s", "peak_rss_mib")
             }
-            for workload in args.workload
+            for workload in workloads
         }
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
 
@@ -236,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
             cells = "  ".join(f"{label} {m * 1e6:9.1f} us" for label, m in zip(order, medians))
             ratios = "  ".join(f"{m / medians[0]:.3f}" for m in medians[1:])
             print(f"  {layer:16s} {cells}  {ratios and f'(/{first}: {ratios})'}")
-    for workload in args.workload if args.pairs else ():
+    for workload in workloads:
         for label in order:
             stats = report["trees"][label]["perfbench"][workload]
             cells = ", ".join(
