@@ -12,7 +12,16 @@ checkout runs first, the seconds per call of:
 - ``norms`` of a snapshot and ``inverse`` onto the grid;
 
 on three bands: d=2 32^2 on a 32^2 grid, d=3 8^3 on 16^3 and d=2 8^2 on
-16^2.  Each process times every layer as the median of seven batches
+16^2; and, at the defaults of the two verify commands (d=2 8^2 on 16^2,
+128 draws, seed 7):
+
+- ``inequality_catalogue``: ``inequalities.check_catalogue`` of the
+  catalogue ``verify-inequalities`` runs;
+- ``identity_ensemble``: ``diagnostics.identity_ensemble``, the work of
+  ``verify-identities``.
+
+Both run at glibc's default malloc thresholds, not at the ones the CLI
+sets.  Each process times every layer as the median of seven batches
 of about ``BUDGET_S / 7`` seconds, so one sample per checkout and round,
 ``REPEATS`` rounds.  With ``--pairs N`` it also runs N alternating pairs
 of ``perfbench/run.py --trace 0`` per ``--workload`` and records every
@@ -46,22 +55,26 @@ LAYERS = (
     "synthesis", "analysis", "nonlinear_term",
     "step_ETDRK2", "step_IMEX-CNAB2", "step_IMEX-Euler", "norms", "inverse",
 )
+VERIFY_CASE = "verify d2 8^2/16^2 x128"
+VERIFY_LAYERS = ("inequality_catalogue", "identity_ensemble")
 REPEATS = 11  # fresh processes per checkout
 BUDGET_S = 0.35  # seconds per layer and process
 
 # Runs in a fresh interpreter with the checkout's src first on sys.path.
 # It reaches only names every checkout since the transform layer's
 # work pairs has: fields._series_work/_eval_series/_transform_series,
-# galerkin.nonlinear_term, stepping.step, diagnostics.norms, fields.inverse.
+# galerkin.nonlinear_term, stepping.step, diagnostics.norms,
+# diagnostics.identity_ensemble, fields.inverse and
+# inequalities.check_catalogue.
 _PROBE = r"""
-import json, statistics, sys, time
+import json, math, statistics, sys, time
 import numpy as np
-from llbar import diagnostics, fields, galerkin, stepping
+from llbar import diagnostics, fields, galerkin, inequalities, stepping
 from llbar.fields import GridSpec
 from llbar.galerkin import LLBarParams
 
 params = LLBarParams(0.4, 0.01, 1.2, 0.7, 0.25)
-cases, budget = json.loads(sys.argv[1]), float(sys.argv[2])
+cases, budget, verify_case = json.loads(sys.argv[1]), float(sys.argv[2]), sys.argv[3]
 
 
 def per_call(fn):
@@ -99,6 +112,18 @@ for label, extents, points, modes in cases:
     row["norms"] = per_call(lambda: diagnostics.norms(u))
     row["inverse"] = per_call(lambda: fields.inverse(u))
     out[label] = row
+
+# the defaults of verify-identities and verify-inequalities
+grid, modes = GridSpec((1.0, 0.8), (16, 16)), (8, 8)
+catalogue = inequalities.Catalogue(
+    interp=True, elliptic=True, product_s=2, cubic_ks=(0, 1, 2), cross_ks=(0, 1, 2),
+    gn=((0, 4.0, 0, 1), (0, math.inf, 0, 2)),
+)
+spec = inequalities.SampleSpec(seed=7, count=128, modes=modes)
+out[verify_case] = {
+    "inequality_catalogue": per_call(lambda: inequalities.check_catalogue(grid, spec, catalogue)),
+    "identity_ensemble": per_call(lambda: diagnostics.identity_ensemble(grid, modes, params, 7, 128)),
+}
 print(json.dumps(out))
 """
 
@@ -106,7 +131,7 @@ print(json.dumps(out))
 def _layers(tree: Path, env: dict[str, str]) -> dict:
     """One fresh-process reading of every layer on every case for ``tree``."""
     run = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(CASES), repr(BUDGET_S)],
+        [sys.executable, "-c", _PROBE, json.dumps(CASES), repr(BUDGET_S), VERIFY_CASE],
         env=dict(env, PYTHONPATH=str(tree / "src")), cwd=tree,
         capture_output=True, text=True, check=True,
     )
@@ -123,6 +148,11 @@ def _perfbench(tree: Path, env: dict[str, str], workload: str, seed: int, second
     result = json.loads(run.stdout)
     metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
     return {"correct": result["correct"], "failed": result["failed"], **metrics}
+
+
+def _layer_names() -> list[tuple[str, tuple[str, ...]]]:
+    """Each timed case with the layers timed on it."""
+    return [(case, LAYERS) for case, *_ in CASES] + [(VERIFY_CASE, VERIFY_LAYERS)]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -163,10 +193,10 @@ def main(argv: list[str] | None = None) -> int:
         report["perfbench"] = {"pairs": args.pairs, "seed": args.seed, "seconds": args.seconds}
     for label, tree in trees.items():
         entry = {**launcher.commit(tree), "layers": {}}
-        for case, *_ in CASES:
+        for case, names in _layer_names():
             entry["layers"][case] = {
                 layer: launcher.summary([sample[case][layer] for sample in layers[label]])
-                for layer in LAYERS
+                for layer in names
             }
         if workloads:
             entry["perfbench"] = {}
@@ -190,13 +220,13 @@ def main(argv: list[str] | None = None) -> int:
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
 
     first = order[0]
-    for case, *_ in CASES:
+    for case, names in _layer_names():
         print(case)
-        for layer in LAYERS:
+        for layer in names:
             medians = [report["trees"][label]["layers"][case][layer]["median"] for label in order]
             cells = "  ".join(f"{label} {m * 1e6:9.1f} us" for label, m in zip(order, medians))
             ratios = "  ".join(f"{m / medians[0]:.3f}" for m in medians[1:])
-            print(f"  {layer:16s} {cells}  {ratios and f'(/{first}: {ratios})'}")
+            print(f"  {layer:20s} {cells}  {ratios and f'(/{first}: {ratios})'}")
     for workload in workloads:
         for label in order:
             stats = report["trees"][label]["perfbench"][workload]

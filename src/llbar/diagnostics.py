@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -119,15 +118,6 @@ _SQUARES = _LEVEL_COLUMNS + ("L6", "uDotDeltaU", "absUabsDeltaU", "absUabsGradU"
                              "L4", "Linf")
 
 
-@lru_cache(maxsize=32)
-def _ladder_weights(grid: fields.GridSpec, modes: tuple[int, ...]) -> np.ndarray:
-    """lambda(k)**m for m = 0..5 over the flattened mode box, read-only."""
-    lam = fields.eigenvalue_array(grid, modes).ravel()
-    weights = np.stack([lam**m for m in range(6)])
-    weights.setflags(write=False)
-    return weights
-
-
 def _norm_squares(
     grid: fields.GridSpec, modes: tuple[int, ...], coeffs: np.ndarray, vals: np.ndarray,
     lap: np.ndarray, columns: Iterable[np.ndarray], scratch: np.ndarray | None = None,
@@ -141,7 +131,7 @@ def _norm_squares(
     ``scratch`` (default: fresh ones) and reduced in one pass.
     """
     c2 = (coeffs**2).sum(axis=-len(modes) - 1).reshape(coeffs.shape[: -len(modes) - 1] + (-1,))
-    weights = _ladder_weights(grid, modes)
+    weights = fields._ladder_weights(grid, modes)
     ladder = (weights.reshape((6,) + (1,) * (c2.ndim - 1) + (-1,)) * c2).sum(axis=-1)
     if scratch is None:
         scratch = np.empty((6,) + vals.shape[:-2] + vals.shape[-1:])

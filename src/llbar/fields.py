@@ -137,6 +137,20 @@ def eigenvalue_array(grid: GridSpec, modes: tuple[int, ...]) -> np.ndarray:
     return lam
 
 
+@lru_cache(maxsize=32)
+def _ladder_weights(grid: GridSpec, modes: tuple[int, ...]) -> np.ndarray:
+    """lambda(k)**m for m = 0..5 over the flattened mode box, read-only.
+
+    Row m summed against the squared coefficients is |(-Lap)^(m/2) v|^2
+    by Parseval: the L2 ladder of the norm suite and of the inequality
+    catalogue.
+    """
+    lam = eigenvalue_array(grid, modes).ravel()
+    weights = np.stack([lam**m for m in range(6)])
+    weights.setflags(write=False)
+    return weights
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralField:
     """Cosine-basis coefficients of a vector field on a retained mode band.
@@ -445,30 +459,41 @@ def _transform_series(
 _DERIV_SIGN = (1.0, -1.0, -1.0, 1.0)  # d^m/dx^m cos: sign pattern by m mod 4
 
 
+@lru_cache(maxsize=64)
+def _derivative_factors(
+    extents: tuple[float, ...], modes: tuple[int, ...], orders: tuple[int, ...]
+) -> tuple[tuple[np.ndarray, ...], tuple[str, ...]]:
+    """The per-axis multipliers of d^orders on a ``modes`` box, each shaped
+    to broadcast along its own axis, and the parities they leave; cached
+    and read-only."""
+    factors, parities = [], []
+    for j, (m, M, L) in enumerate(zip(orders, modes, extents)):
+        parities.append("sin" if m % 2 else "cos")
+        if m:
+            factor = (_DERIV_SIGN[m % 4] * (np.arange(M) * np.pi / L) ** m).reshape(
+                (M,) + (1,) * (len(modes) - 1 - j)
+            )
+            factor.setflags(write=False)
+            factors.append(factor)
+    return tuple(factors), tuple(parities)
+
+
 def _derivative_multiplier(
     coeffs: np.ndarray, extents: tuple[float, ...], orders: tuple[int, ...]
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Apply d^orders to a cosine-parity coefficient array.
 
-    Returns the new frequency-indexed coefficients together with the
-    resulting per-axis parity ('sin' wherever the order is odd).
+    Returns the new frequency-indexed coefficients (a fresh array)
+    together with the resulting per-axis parity ('sin' wherever the
+    order is odd).
     """
-    dim = len(extents)
-    lead = coeffs.ndim - dim
-    arr = coeffs.copy()
-    parities = []
-    for j, m in enumerate(orders):
-        if m == 0:
-            parities.append("cos")
-            continue
-        M = arr.shape[lead + j]
-        k_tilde = np.arange(M) * np.pi / extents[j]
-        factor = _DERIV_SIGN[m % 4] * k_tilde**m
-        shape = [1] * arr.ndim
-        shape[lead + j] = M
-        arr = arr * factor.reshape(shape)
-        parities.append("sin" if m % 2 else "cos")
-    return arr, tuple(parities)
+    factors, parities = _derivative_factors(
+        tuple(extents), coeffs.shape[coeffs.ndim - len(extents) :], tuple(orders)
+    )
+    arr = coeffs
+    for factor in factors:
+        arr = arr * factor
+    return (coeffs.copy() if arr is coeffs else arr), parities
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +523,13 @@ def inverse(s: SpectralField) -> VectorField:
 # ---------------------------------------------------------------------------
 
 
+# One Philox4x64-10 generator, re-keyed for every draw: building a fresh
+# one per draw also seeds a throwaway SeedSequence from OS entropy, and
+# took twice as long.  Shared module state, so not for concurrent use.
+_PHILOX = np.random.Philox(0)
+_NORMALS = np.random.Generator(_PHILOX)
+
+
 def random_field(
     grid: GridSpec,
     modes: tuple[int, ...],
@@ -511,14 +543,17 @@ def random_field(
     Coefficients are i.i.d. standard normals scaled by
     ``amplitude * (1 + lambda(k))**(-decay/2)``; ``decay = 0`` is the flat
     law stressing inequalities hardest.  The stream is the counter-based
-    Philox4x64-10 generator keyed by ``(seed, index)``, so sample ``index``
-    of a batch is reproducible in isolation.
+    Philox4x64-10 generator keyed by ``(seed, index)``, each masked to 64
+    bits, so sample ``index`` of a batch is reproducible in isolation.
     """
     if decay < 0:
         raise ValueError(f"decay exponent must be >= 0, got {decay}")
     key = np.array([seed & (2**64 - 1), index & (2**64 - 1)], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    coeffs = gen.standard_normal((3,) + tuple(modes))
+    _PHILOX.state = {  # counter 0 and an empty buffer: a fresh Philox(key=key)
+        "bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": key},
+        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    coeffs = _NORMALS.standard_normal((3,) + tuple(modes))
     if decay > 0.0:
         lam = eigenvalue_array(grid, tuple(modes))
         coeffs = coeffs * (1.0 + lam) ** (-decay / 2.0)

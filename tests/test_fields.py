@@ -123,6 +123,24 @@ def test_derivative_multiplier_matches_analytic():
     np.testing.assert_allclose(vals2[0], expected2, atol=1e-11)
 
 
+def test_derivative_multiplier_is_the_per_axis_product():
+    # the cached factors give the bits of multiplying axis by axis, in a fresh array
+    grid = GridSpec(extents=(1.0, 0.8, 1.2), points=(8, 8, 8))
+    coeffs = fields.random_field(grid, (5, 4, 3), seed=4).coeffs[None].repeat(2, axis=0)
+    for orders in ((0, 0, 0), (1, 0, 2), (3, 1, 0), (2, 2, 1)):
+        want = coeffs.copy()
+        for j, (m, L) in enumerate(zip(orders, grid.extents)):
+            if m:
+                factor = (1.0, -1.0, -1.0, 1.0)[m % 4] * (np.arange(coeffs.shape[2 + j]) * np.pi / L) ** m
+                want = want * factor.reshape((-1,) + (1,) * (2 - j))
+        got, parities = fields._derivative_multiplier(coeffs, grid.extents, orders)
+        assert parities == tuple("sin" if m % 2 else "cos" for m in orders)
+        np.testing.assert_array_equal(got, want)
+        assert not np.shares_memory(got, coeffs)
+        got[...] = 0.0  # the caller owns the result: the next call is unaffected
+        np.testing.assert_array_equal(fields._derivative_multiplier(coeffs, grid.extents, orders)[0], want)
+
+
 def test_padded_evaluation_is_same_function():
     # Zero-padding the coefficients evaluates the same continuum field on
     # the finer midpoint grid; check against the explicit basis sum.
@@ -159,6 +177,20 @@ def test_random_field_counter_rng():
     assert np.any(c.coeffs != a.coeffs)
     d = fields.random_field(grid, (16,), seed=8, index=3)
     assert np.any(d.coeffs != a.coeffs)
+
+
+def test_random_field_streams_are_fresh_philox_streams():
+    # the shared, re-keyed generator draws what a fresh Philox keyed by
+    # (seed, index) draws, each masked to 64 bits, whatever came before
+    grid = GridSpec(extents=(1.0, 0.8), points=(8, 8))
+    for seed, index in ((7, 3), (0, 0), (2**63 + 5, 1), (2**64 - 1, 9), (-3, 2), (11, -1)):
+        key = np.array([seed & (2**64 - 1), index & (2**64 - 1)], dtype=np.uint64)
+        fresh = np.random.Generator(np.random.Philox(key=key)).standard_normal((3, 5, 4))
+        got = fields.random_field(grid, (5, 4), seed=seed, index=index).coeffs
+        np.testing.assert_array_equal(got, fresh)
+    odd = fields.random_field(grid, (3, 1), seed=1).coeffs  # an odd count of normals
+    again = fields.random_field(grid, (3, 1), seed=1).coeffs
+    np.testing.assert_array_equal(odd, again)
 
 
 def test_random_field_decay_law():

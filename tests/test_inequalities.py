@@ -319,17 +319,17 @@ def reference_rows(grid, spec, catalogue):
     return list(zip(names, thresholds, ratios))
 
 
-@pytest.mark.parametrize(
-    "extents, points, modes, count",
-    [
-        ((1.0,), (12,), (6,), 2 * inequalities._BLOCK_PAIRS + 1),
-        ((1.0,), (8,), (8,), 3),  # band = grid
-        ((1.0, 0.8), (8, 8), (4, 4), 2 * inequalities._BLOCK_PAIRS + 1),
-        ((1.0, 0.8), (6, 6), (6, 6), 4),  # band = grid
-        ((1.0, 0.8), (4, 4), (1, 1), 5),  # one mode: every derivative is 0/0
-        ((1.0, 0.8, 1.2), (6, 6, 6), (3, 3, 3), 3),
-    ],
-)
+STACKED_CONFIGS = [  # (extents, points, modes, count)
+    ((1.0,), (12,), (6,), 2 * inequalities._BLOCK_PAIRS + 1),
+    ((1.0,), (8,), (8,), 3),  # band = grid
+    ((1.0, 0.8), (8, 8), (4, 4), 2 * inequalities._BLOCK_PAIRS + 1),
+    ((1.0, 0.8), (6, 6), (6, 6), 4),  # band = grid
+    ((1.0, 0.8), (4, 4), (1, 1), 5),  # one mode: every derivative is 0/0
+    ((1.0, 0.8, 1.2), (6, 6, 6), (3, 3, 3), 3),
+]
+
+
+@pytest.mark.parametrize("extents, points, modes, count", STACKED_CONFIGS)
 def test_stacked_ensemble_matches_per_draw_formulas(extents, points, modes, count):
     grid = GridSpec(extents=extents, points=points)
     spec = spec_for(modes, seed=17, count=count)
@@ -373,3 +373,27 @@ def test_ensemble_memory_is_flat_in_count():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.25 * peaks[0], f"peak {peaks[1]} B at 8 blocks vs {peaks[0]} B at one"
+
+
+@pytest.mark.parametrize("extents, points, modes, count", STACKED_CONFIGS)
+def test_reports_do_not_depend_on_the_block_size(monkeypatch, extents, points, modes, count):
+    # phase 1 folds each block into its slice of the ensemble arrays, so the
+    # block size only moves rounding: one-pair blocks turn GEMMs into GEMVs
+    grid = GridSpec(extents=extents, points=points)
+    spec = spec_for(modes, seed=17, count=count)
+    catalogue = full_catalogue(grid.dim)
+    default = inequalities._BLOCK_PAIRS
+    want = inequalities.check_catalogue(grid, spec, catalogue)
+    for block in sorted({1, 2, 3, default}):
+        monkeypatch.setattr(inequalities, "_BLOCK_PAIRS", block)
+        got = inequalities.check_catalogue(grid, spec, catalogue)
+        assert [r.inequality for r in got] == [r.inequality for r in want]
+        for a, b in zip(got, want):
+            assert (a.violations, a.witness_seed) == (b.violations, b.witness_seed), (block, a, b)
+            if b.max_ratio < 1e-11:
+                # rounding noise of a quantity that is exactly zero
+                assert a.max_ratio < 1e-11 and a.median_ratio < 1e-11, (block, a)
+                continue
+            assert a.witness_index == b.witness_index, (block, a, b)
+            for x, y in ((a.max_ratio, b.max_ratio), (a.median_ratio, b.median_ratio)):
+                assert abs(x - y) <= 1e-15 * abs(y), (block, a.inequality, x, y)
