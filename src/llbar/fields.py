@@ -523,11 +523,14 @@ def inverse(s: SpectralField) -> VectorField:
 # ---------------------------------------------------------------------------
 
 
-# One Philox4x64-10 generator, re-keyed for every draw: building a fresh
-# one per draw also seeds a throwaway SeedSequence from OS entropy, and
-# took twice as long.  Shared module state, so not for concurrent use.
-_PHILOX = np.random.Philox(0)
-_NORMALS = np.random.Generator(_PHILOX)
+@lru_cache(maxsize=1)
+def _normals() -> np.random.Generator:
+    """The one Philox4x64-10 generator that :func:`random_field` re-keys
+    for every draw: building a fresh one per draw also seeds a throwaway
+    SeedSequence from OS entropy, and took twice as long.  Shared, so not
+    for concurrent use; built on first use, so importing llbar does not
+    import numpy.random."""
+    return np.random.Generator(np.random.Philox(0))
 
 
 def random_field(
@@ -549,11 +552,12 @@ def random_field(
     if decay < 0:
         raise ValueError(f"decay exponent must be >= 0, got {decay}")
     key = np.array([seed & (2**64 - 1), index & (2**64 - 1)], dtype=np.uint64)
-    _PHILOX.state = {  # counter 0 and an empty buffer: a fresh Philox(key=key)
+    gen = _normals()
+    gen.bit_generator.state = {  # counter 0 and an empty buffer: a fresh Philox(key=key)
         "bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": key},
         "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
-    coeffs = _NORMALS.standard_normal((3,) + tuple(modes))
+    coeffs = gen.standard_normal((3,) + tuple(modes))
     if decay > 0.0:
         lam = eigenvalue_array(grid, tuple(modes))
         coeffs = coeffs * (1.0 + lam) ** (-decay / 2.0)
