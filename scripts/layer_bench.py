@@ -18,10 +18,13 @@ on three bands: d=2 32^2 on a 32^2 grid, d=3 8^3 on 16^3 and d=2 8^2 on
 - ``inequality_catalogue``: ``inequalities.check_catalogue`` of the
   catalogue ``verify-inequalities`` runs;
 - ``identity_ensemble``: ``diagnostics.identity_ensemble``, the work of
-  ``verify-identities``.
+  ``verify-identities``;
+- ``rhs_block6``: ``galerkin.rhs`` of one block of six of its draws, as
+  one (6, 3, 8, 8) stack, or as six calls in a checkout whose
+  ``SpectralField`` takes no stacks.
 
-Both run at glibc's default malloc thresholds, not at the ones the CLI
-sets.  Each process times every layer as the median of seven batches
+All three run at glibc's default malloc thresholds, not at the ones the
+CLI sets.  Each process times every layer as the median of seven batches
 of about ``BUDGET_S / 7`` seconds, so one sample per checkout and round,
 ``REPEATS`` rounds.  With ``--pairs N`` it also runs N alternating pairs
 of ``perfbench/run.py --trace 0`` per ``--workload`` and records every
@@ -56,15 +59,15 @@ LAYERS = (
     "step_ETDRK2", "step_IMEX-CNAB2", "step_IMEX-Euler", "norms", "inverse",
 )
 VERIFY_CASE = "verify d2 8^2/16^2 x128"
-VERIFY_LAYERS = ("inequality_catalogue", "identity_ensemble")
+VERIFY_LAYERS = ("inequality_catalogue", "identity_ensemble", "rhs_block6")
 REPEATS = 11  # fresh processes per checkout
 BUDGET_S = 0.35  # seconds per layer and process
 
 # Runs in a fresh interpreter with the checkout's src first on sys.path.
 # It reaches only names every checkout since the transform layer's
 # work pairs has: fields._series_work/_eval_series/_transform_series,
-# galerkin.nonlinear_term, stepping.step, diagnostics.norms,
-# diagnostics.identity_ensemble, fields.inverse and
+# galerkin.nonlinear_term and rhs, stepping.step, diagnostics.norms,
+# diagnostics.identity_ensemble, fields.random_field, fields.inverse and
 # inequalities.check_catalogue.
 _PROBE = r"""
 import json, math, statistics, sys, time
@@ -120,9 +123,17 @@ catalogue = inequalities.Catalogue(
     gn=((0, 4.0, 0, 1), (0, math.inf, 0, 2)),
 )
 spec = inequalities.SampleSpec(seed=7, count=128, modes=modes)
+draws = np.stack([fields.random_field(grid, modes, 7, i, decay=4.0).coeffs for i in range(6)])
+try:
+    stack = fields.SpectralField(grid, modes, draws)
+    rhs_block = lambda: galerkin.rhs(stack, params)
+except ValueError:  # a checkout that takes no stacks: one call per draw
+    singles = [fields.SpectralField(grid, modes, c) for c in draws]
+    rhs_block = lambda: [galerkin.rhs(s, params) for s in singles]
 out[verify_case] = {
     "inequality_catalogue": per_call(lambda: inequalities.check_catalogue(grid, spec, catalogue)),
     "identity_ensemble": per_call(lambda: diagnostics.identity_ensemble(grid, modes, params, 7, 128)),
+    "rhs_block6": per_call(rhs_block),
 }
 print(json.dumps(out))
 """

@@ -25,6 +25,7 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
+from functools import lru_cache
 from typing import NoReturn
 
 import numpy as np
@@ -465,7 +466,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError([f"{command}: {message}" if command else message])
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: building it takes about 1 ms, and
+    parsing leaves it unchanged, so every :func:`main` call shares it."""
     parser = _Parser(
         prog="llbar",
         description="Spectral Galerkin solver and verification suite for a "
@@ -539,8 +543,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _keep_freed_memory() -> None:
     """Fix glibc's malloc thresholds at the ceiling of its dynamic rule (map
     from 32 MiB, trim above 64 MiB), so that the ensembles' block temporaries
-    are reused, not faulted in afresh (about 8,600 minor faults per pass of
-    both verify commands at d=2 16/8, count 128, at the 128 KiB defaults)."""
+    are reused, not faulted in afresh.  An identity block peaks at about
+    510 KiB of temporaries at d=2 16/8; at the 128 KiB defaults, glibc trims
+    them off the top of the heap after each block in some heap layouts
+    (2,350-3,700 minor faults per pass of both verify commands at count 128)."""
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt
     except (OSError, AttributeError):

@@ -169,7 +169,7 @@ def norms(u: SpectralField, t: float = 0.0) -> NormSuite:
     """
     grid, modes = u.grid, u.modes
     extents, points, dim = grid.extents, grid.padded(modes), grid.dim
-    stack, values_work, column_work, nodes = fields._padded_work(grid.dealias_pad, modes)
+    stack, values_work, column_work, nodes = fields._padded_work(grid.dealias_pad, modes, ())
     stack[:3] = u.coeffs
     np.multiply(u.coeffs, -u.eigenvalues[None], out=stack[3:])
     both = fields._eval_series(stack, extents, ("cos",) * dim, points, values_work)
@@ -592,8 +592,8 @@ def _identity_residuals(
 
     One stacked synthesis gives u, Lap u and the Jacobians of both, and
     every residual but one is an array expression over the stack;
-    ``l2_balance`` pairs each draw with ``galerkin.rhs``, the code the
-    steppers run.
+    ``l2_balance`` pairs each draw with ``galerkin.rhs`` of the whole
+    stack, the code the steppers run.
     """
     vol, lam = grid.padded_cell(modes), fields.eigenvalue_array(grid, modes)
     (u, lap), (ju, jlap) = operators.padded_samples(grid, coeffs)
@@ -603,9 +603,10 @@ def _identity_residuals(
     parseval = abs(vol * _per_draw(u * u) - sq["L2"]) / np.maximum(1.0, sq["L2"])
     square = _completed_square(u, ju, jlap, params, vol)
 
-    pointwise = np.concatenate([
-        operators._cubic_laplacian(u, ju, lap), operators._cubic(u), np.cross(u, lap, axis=-2)
-    ], axis=1)
+    pointwise = np.empty((len(u), 9, u.shape[-1]))
+    pointwise[:, :3], pointwise[:, 3:6] = operators._cubic_laplacian(u, ju, lap), operators._cubic(u)
+    for j, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):  # u x Lap u, as np.cross forms it
+        np.subtract(u[:, a] * lap[:, b], u[:, b] * lap[:, a], out=pointwise[:, 6 + j])
     projected = fields._transform_series(
         pointwise.reshape(pointwise.shape[:2] + grid.padded(modes)),
         grid.extents, ("cos",) * grid.dim, modes,
@@ -615,9 +616,7 @@ def _identity_residuals(
         1.0, np.sqrt(_per_draw(direct**2))
     )
 
-    pairing = np.array([
-        (galerkin.rhs(SpectralField(grid, modes, c), params).coeffs * c).sum() for c in coeffs
-    ])
+    pairing = _per_draw(galerkin.rhs(SpectralField(grid, modes, coeffs), params).coeffs * coeffs)
     balance = abs(_l2_balance(params, sq, pairing)) / np.maximum(1.0, abs(pairing))
     precession = abs(_per_draw(cross * coeffs)) / np.maximum(1.0, sq["L2"])
 
@@ -644,10 +643,7 @@ def identity_ensemble(
         raise ValueError(f"count must be at least 1, got {count}")
     blocks = []
     for start in range(0, count, _IDENTITY_BLOCK):
-        coeffs = np.stack([
-            fields.random_field(grid, modes, seed=seed, index=i, decay=4.0).coeffs
-            for i in range(start, min(start + _IDENTITY_BLOCK, count))
-        ])
+        coeffs = fields._draws(grid, modes, seed, range(start, min(start + _IDENTITY_BLOCK, count)), 4.0)
         blocks.append(_identity_residuals(grid, modes, params, coeffs))
     residuals = {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
     return {name: (float(r.max()), int(np.argmax(r))) for name, r in residuals.items()}

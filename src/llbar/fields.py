@@ -27,6 +27,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import Sequence
 
 import numpy as np
 
@@ -158,7 +159,10 @@ class SpectralField:
     coeffs[component, k1, ..., kd] multiplies the orthonormal basis function
     e_k, so sum(coeffs**2) is exactly the squared L2 norm.  A band is just
     this ``modes`` tuple, and this is the one place it is checked against
-    the grid: one count per axis, each in ``[1, points]``.
+    the grid: one count per axis, each in ``[1, points]``.  An (n, 3,
+    *modes) array holds a stack of n fields on one band, which
+    ``galerkin.rhs`` and ``galerkin.nonlinear_term`` evaluate in one pass;
+    everything else takes a single field.
     """
 
     grid: GridSpec
@@ -174,8 +178,10 @@ class SpectralField:
                 raise ValueError(f"mode count {M} outside [1, {N}]")
         coeffs = np.ascontiguousarray(self.coeffs, dtype=np.float64)
         expected = (3,) + self.modes
-        if coeffs.shape != expected:
-            raise ValueError(f"SpectralField coeffs shape {coeffs.shape}, expected {expected}")
+        if coeffs.shape[-len(expected) :] != expected or coeffs.ndim > len(expected) + 1:
+            raise ValueError(
+                f"SpectralField coeffs shape {coeffs.shape}, expected {expected} or a stack of them"
+            )
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -393,7 +399,7 @@ def _series_work(
 
 
 @lru_cache(maxsize=4)
-def _padded_work(dealias_pad: int, modes: tuple[int, ...]) -> tuple:
+def _padded_work(dealias_pad: int, modes: tuple[int, ...], lead: tuple[int, ...]) -> tuple:
     """Padded-grid work set for one band, shared by its two users.
 
     ``diagnostics.norms`` and ``galerkin.nonlinear_term`` draw every
@@ -402,18 +408,20 @@ def _padded_work(dealias_pad: int, modes: tuple[int, ...]) -> tuple:
     so nothing a caller holds points into the set; the next call simply
     overwrites it.  The arrays depend on the band's padded grid only, so
     the set is keyed by ``(dealias_pad, modes)`` and boxes of any extents
-    share it.  An entry holds at most about 22 doubles per node of the
-    padded grid (about 0.7 MiB for an 8^3 band, padded to 16^3); four
-    entries hold the three bands of ``llbar converge`` without eviction.
-    The set is not thread-safe: two threads evaluating on one band at
-    once would overwrite each other's arrays.
+    share it, and by the ``lead`` shape of a stack of fields (``()`` for
+    one field; ``norms`` takes one).  An entry holds at most about 22
+    doubles per node of the padded grid and field (about 0.7 MiB for one
+    8^3 band, padded to 16^3); four entries hold the three bands of
+    ``llbar converge`` without eviction.  The set is not thread-safe: two
+    threads evaluating on one band at once would overwrite each other's
+    arrays.
     """
-    points = tuple(dealias_pad * M for M in modes)
+    points, n = tuple(dealias_pad * M for M in modes), math.prod(lead)
     return (
-        _page_aligned((6,) + modes),  # coefficients of u and Lap u
-        _series_work(6, modes, points),  # u and Lap u; projection of 6 products
+        _page_aligned((6,) + lead + modes),  # coefficients of u and Lap u
+        _series_work(6 * n, modes, points),  # u and Lap u; projection of 6 products
         _series_work(3, modes, points),  # one Jacobian column d_j u
-        _page_aligned((8, math.prod(points))),  # node vectors
+        _page_aligned((8,) + lead + (math.prod(points),)),  # node vectors
     )
 
 
@@ -551,17 +559,28 @@ def random_field(
     """
     if decay < 0:
         raise ValueError(f"decay exponent must be >= 0, got {decay}")
-    key = np.array([seed & (2**64 - 1), index & (2**64 - 1)], dtype=np.uint64)
-    gen = _normals()
-    gen.bit_generator.state = {  # counter 0 and an empty buffer: a fresh Philox(key=key)
-        "bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": key},
-        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-    coeffs = gen.standard_normal((3,) + tuple(modes))
-    if decay > 0.0:
-        lam = eigenvalue_array(grid, tuple(modes))
-        coeffs = coeffs * (1.0 + lam) ** (-decay / 2.0)
+    coeffs = _draws(grid, tuple(modes), seed, (index,), decay)[0]
     return SpectralField(grid, tuple(modes), amplitude * coeffs)
+
+
+def _draws(
+    grid: GridSpec, modes: tuple[int, ...], seed: int, indices: Sequence[int], decay: float
+) -> np.ndarray:
+    """The coefficients of the :func:`random_field` draws ``indices`` of
+    ``seed`` at amplitude 1, as one (n, 3, *modes) stack: the ensembles'
+    blocks, each draw's normals written straight into its row."""
+    gen, blank = _normals(), np.zeros(4, np.uint64)
+    out = np.empty((len(indices), 3) + modes)
+    for row, index in zip(out, indices):
+        key = np.array([seed & (2**64 - 1), index & (2**64 - 1)], dtype=np.uint64)
+        gen.bit_generator.state = {  # counter 0 and an empty buffer: a fresh Philox(key=key)
+            "bit_generator": "Philox", "state": {"counter": blank, "key": key},
+            "buffer": blank, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        gen.standard_normal(out=row)
+    if decay > 0.0:
+        out *= (1.0 + eigenvalue_array(grid, modes)) ** (-decay / 2.0)
+    return out
 
 
 # ---------------------------------------------------------------------------

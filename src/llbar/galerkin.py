@@ -143,7 +143,8 @@ def project(v: SpectralField, modes: tuple[int, ...]) -> SpectralField:
 
 
 def rhs(v: SpectralField, params: LLBarParams) -> SpectralField:
-    """Full Galerkin right-hand side at ``v``: ``m(k) v + nonlinear_term(v)``."""
+    """Full Galerkin right-hand side at ``v``, one field or a stack of them:
+    ``m(k) v + nonlinear_term(v)``."""
     linear = rhs_linear_factor(v.grid, v.modes, params)[None] * v.coeffs
     remainder, _ = nonlinear_term(v, params)
     return SpectralField(grid=v.grid, modes=v.modes, coeffs=linear + remainder.coeffs)
@@ -163,13 +164,16 @@ def rhs_linear_factor(
 
 @lru_cache(maxsize=32)
 def _nonlinear_tables(
-    grid: GridSpec, modes: tuple[int, ...], params: LLBarParams
+    grid: GridSpec, modes: tuple[int, ...], params: LLBarParams, stacked: bool
 ) -> tuple[tuple[int, ...], tuple[str, ...], np.ndarray, np.ndarray]:
-    """The band's padded grid and parities, and (3, *modes) tables of
+    """The band's padded grid and parities, and per-component tables of
     ``-lambda(k)`` and ``beta5 * lambda(k)``, the first factor of
-    ``beta5 * lambda * c3``; built once per (grid, modes, params)."""
+    ``beta5 * lambda * c3``: (3, *modes), or (3, 1, *modes) to broadcast
+    over the fields of a component-major stack; built once per (grid,
+    modes, params, stacked)."""
     lam = fields.eigenvalue_array(grid, modes)
-    tables = fields._per_component(-lam), fields._per_component(params.beta5 * lam)
+    shape = (3,) + (1,) * stacked + modes
+    tables = (fields._per_component(t).reshape(shape) for t in (-lam, params.beta5 * lam))
     return (grid.padded(modes), ("cos",) * grid.dim, *tables)
 
 
@@ -186,16 +190,23 @@ def nonlinear_term(
     ``Lap(|v|^2 v)`` term folded in as ``-lambda(k)`` times the cubic
     coefficients.  Every padded-grid array comes from the work set that
     ``fields._padded_work`` caches per band, and the coefficients are
-    combined in place in the one fresh array that is returned.
+    combined in place in the one fresh array that is returned.  A stack
+    of fields (see ``SpectralField``) takes the same passes, each over the
+    whole stack, and the sup is then the largest in the stack.
     """
     grid, modes, extents = v.grid, v.modes, v.grid.extents
-    points, all_cos, neg_lam, beta5_lam = _nonlinear_tables(grid, modes, params)
-    stacked, series_work, _, nodes = fields._padded_work(grid.dealias_pad, modes)
-    # rows u_0, Lap u_0, u_1, Lap u_1, ...: strided views then pair the
-    # factors of the cross product's terms without copies
-    stacked[0::2] = v.coeffs
-    np.multiply(v.coeffs, neg_lam, out=stacked[1::2])
-    vals = fields._eval_series(stacked, extents, all_cos, points, series_work).reshape(6, -1)
+    lead = v.coeffs.shape[: -grid.dim - 1]
+    points, all_cos, neg_lam, beta5_lam = _nonlinear_tables(grid, modes, params, bool(lead))
+    stacked, series_work, _, nodes = fields._padded_work(grid.dealias_pad, modes, lead)
+    # a stack goes component-major, (3, n, *modes), so each row below spans
+    # it; rows u_0, Lap u_0, u_1, Lap u_1, ...: strided views then pair the
+    # cross product's factors without copies.  The transforms take all rows
+    # on one axis, so each product keeps its one-field row count and bits
+    c = v.coeffs.swapaxes(0, len(lead))
+    stacked[0::2] = c
+    np.multiply(c, neg_lam, out=stacked[1::2])
+    vals = fields._eval_series(stacked.reshape((-1,) + modes), extents, all_cos, points, series_work)
+    vals = vals.reshape((6,) + lead + (-1,))
     u_vals = vals[0::2]
     products, spare = nodes[:6], nodes[6:]
     norm2 = spare[0]
@@ -211,12 +222,12 @@ def nonlinear_term(
     cross[:2] -= np.multiply(vals[4::-4], vals[3:6:2], out=spare)  # u2 L1, u0 L2
     cross[2] -= np.multiply(vals[2], vals[1], out=spare[0])  # u1 L0
     analysis = fields._transform_series(
-        products.reshape((6,) + points), extents, all_cos, modes, series_work
-    )
+        products.reshape((-1,) + points), extents, all_cos, modes, series_work
+    ).reshape((6,) + lead + modes)
     c3, c4 = analysis[:3], analysis[3:]
     # beta3 (v - c3) - beta4 c4 - beta5 lambda c3, left to right, in place
-    coeffs = np.subtract(v.coeffs, c3)
+    coeffs = np.subtract(c, c3)
     coeffs *= params.beta3
     coeffs -= np.multiply(c4, params.beta4, out=c4)
     coeffs -= np.multiply(beta5_lam, c3, out=c3)
-    return SpectralField(grid=grid, modes=modes, coeffs=coeffs), linf
+    return SpectralField(grid=grid, modes=modes, coeffs=coeffs.swapaxes(0, len(lead))), linf

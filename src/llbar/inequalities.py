@@ -277,12 +277,15 @@ class _Sums:
     def __init__(self, grid: GridSpec, catalogue: Catalogue, draws: int, singles: int) -> None:
         self.grid, self.catalogue, self.singles = grid, catalogue, singles
         pairs, orders = draws // 2, catalogue.top_order + 1
-        self.qs = sorted({q for _, q, _, _ in catalogue.gn if not math.isinf(q)})
+        finite = [(r, q) for r, q, _, _ in catalogue.gn if not math.isinf(q)]
+        self.qs = sorted({q for _, q in finite})
+        self.q_orders = 1 + max((r for r, _ in finite), default=-1)
         self.mom = np.zeros((6, draws))  # |(-Lap)^(m/2) v|^2, m = 0..5
         # per order k: max over nodes and |alpha| <= k of |D^alpha v|^2, and
-        # for each GN exponent q the sum over |alpha| <= k of |D^alpha v|_q^q
+        # for each GN exponent q the sum over |alpha| <= k of |D^alpha v|_q^q,
+        # up to the highest order a finite-q row reads
         self.w_inf = np.zeros((orders, draws))
-        self.w_q = {q: np.zeros((orders, singles)) for q in self.qs}
+        self.w_q = {q: np.zeros((self.q_orders, singles)) for q in self.qs}
         self.product = np.zeros(pairs)  # |(|u||v|)|_{H^s}^2, projected on the grid
         if catalogue.product_s is not None:  # sum_{j <= s} lambda^j on the grid's cosines
             lam_grid = fields.eigenvalue_array(grid, grid.points)
@@ -323,11 +326,12 @@ class _Sums:
         vol = grid.padded_cell(grid.points)
         running_max, running_q = np.zeros(n), {q: np.zeros(s) for q in self.qs}
         for order in range(catalogue.top_order + 1):
+            qs = self.qs if order < self.q_orders else ()
             for alpha in _multi_indices(grid.dim, order):
                 vals = _padded(grid, coeffs, alpha)
-                mag2 = (vals * vals).sum(axis=0)
+                mag2 = np.einsum("cnx,cnx->nx", vals, vals)
                 np.maximum(running_max, mag2.max(axis=1), out=running_max)
-                for q in self.qs:
+                for q in qs:
                     running_q[q] += _per_draw(mag2[:s] ** (q / 2.0)) * vol
                 if order == 0 and catalogue.paired:
                     self._fold_values(vals, mag2, paired)
@@ -339,7 +343,7 @@ class _Sums:
                         sums[0] += _cross_gap_sq(base, vals, buffer) * vol
                     sums[2] += np.einsum("px,px->p", gap_mag2, mag2[1::2]) * vol
             self.w_inf[order, drawn] = running_max
-            for q in self.qs:
+            for q in qs:
                 self.w_q[q][order, single] = running_q[q]
 
     def _fold_values(self, vals: np.ndarray, mag2: np.ndarray, paired: slice) -> None:
@@ -503,7 +507,7 @@ def check_catalogue(
     sums = _Sums(grid, catalogue, draws, spec.count)
     for start in range(0, draws, 2 * _BLOCK_PAIRS):
         stop = min(start + 2 * _BLOCK_PAIRS, draws)
-        sums.fold(np.stack([draw_sample(grid, spec, i).coeffs for i in range(start, stop)]), start)
+        sums.fold(fields._draws(grid, spec.modes, spec.seed, range(start, stop), 0.0), start)
     return [
         _aggregate(name, row, spec, threshold)
         for row, (name, threshold, _) in zip(sums.ratios(), rows)

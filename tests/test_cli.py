@@ -700,6 +700,21 @@ def test_identity_ensemble_memory_is_flat_in_count():
     assert peaks[1] <= 1.25 * peaks[0], f"peak {peaks[1]} B at 8 blocks vs {peaks[0]} B at one"
 
 
+def test_identity_ensemble_evaluates_one_rhs_per_block(monkeypatch):
+    # the l2_balance pairing evaluates each block of draws as one stack
+    grid, modes = cli._ensemble_space(2, 16, 8)
+    calls, nonlinear_term = [], galerkin.nonlinear_term
+
+    def counting(v, params):
+        calls.append(v.coeffs.shape[0])
+        return nonlinear_term(v, params)
+
+    monkeypatch.setattr(galerkin, "nonlinear_term", counting)
+    block = diagnostics._IDENTITY_BLOCK
+    diagnostics.identity_ensemble(grid, modes, cli._DEFAULT_PARAMS, 0, 2 * block + 2)
+    assert calls == [block, block, 2]
+
+
 def test_verify_identities_failure_names_the_per_draw_witness(capsys, monkeypatch):
     grid, modes = cli._ensemble_space(2, 16, 8)
     reference = per_draw_identities(grid, modes, 0, 128)

@@ -190,6 +190,18 @@ def test_random_field_streams_are_fresh_philox_streams():
         np.testing.assert_array_equal(got, fresh)
 
 
+@pytest.mark.parametrize("decay", [0.0, 4.0])
+def test_ensemble_blocks_hold_the_random_field_bits(decay):
+    # the ensembles draw a block straight into one stack; each row is the
+    # random_field draw of its index, bit for bit
+    grid = GridSpec(extents=(1.0, 0.8), points=(8, 8))
+    block = fields._draws(grid, (5, 4), 7, range(3, 9), decay)
+    assert block.shape == (6, 3, 5, 4)
+    for row, index in zip(block, range(3, 9)):
+        want = fields.random_field(grid, (5, 4), seed=7, index=index, decay=decay).coeffs
+        assert row.tobytes() == want.tobytes()
+
+
 def test_random_field_decay_law():
     # decay p rescales the flat draw by (1 + lambda)^(-p/2), same stream
     grid = GridSpec(extents=(1.0,), points=(16,))
@@ -383,7 +395,7 @@ def test_padded_work_starts_on_pages():
     # index in different buffers share their page offset (no 4K aliasing
     # between the read and written rows of the pointwise passes)
     grid = GridSpec(extents=(1.0, 0.8), points=(32, 32))
-    stack, synthesis, column, nodes = fields._padded_work(grid.dealias_pad, (20, 32))
+    stack, synthesis, column, nodes = fields._padded_work(grid.dealias_pad, (20, 32), ())
     for buffer in (stack, *synthesis, *column, nodes):
         assert buffer.ctypes.data % 4096 == 0
         assert buffer.flags["C_CONTIGUOUS"]
@@ -395,7 +407,7 @@ def test_padded_work_is_sized_by_the_band():
     # products of an 8^3 band are exact on its own 16^3 padded grid, so
     # the work set of a 16^3 grid holds 16^3 nodes per vector, not 32^3
     grid = GridSpec(extents=(1.0, 0.8, 1.2), points=(16, 16, 16))
-    stack, synthesis, column, nodes = fields._padded_work(grid.dealias_pad, (8, 8, 8))
+    stack, synthesis, column, nodes = fields._padded_work(grid.dealias_pad, (8, 8, 8), ())
     assert nodes.shape == (8, 16**3)
     assert max(buffer.size for buffer in (*synthesis, *column)) == 6 * 16**3
 

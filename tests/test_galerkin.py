@@ -214,6 +214,51 @@ def test_nonlinear_term_reuses_its_buffers():
     assert per_call < 100, f"{per_call} minor page faults per nonlinear_term call"
 
 
+@pytest.mark.parametrize("n", [1, 2, 6])
+@pytest.mark.parametrize(
+    "extents, points, modes",
+    [((1.3,), (16,), (8,)), ((1.0, 0.8), (16, 16), (8, 8)), ((1.0, 0.8, 1.2), (8, 8, 8), (4, 4, 4))],
+)
+def test_stacked_fields_give_the_per_field_bits(extents, points, modes, n):
+    # an (n, 3, *modes) stack runs through the same passes as one field:
+    # each field of the stacked nonlinear_term and rhs has the bits of its
+    # own call, the sup is the largest, and nothing returned points into
+    # the stack's work set
+    grid = GridSpec(extents=extents, points=points)
+    draws = [fields.random_field(grid, modes, seed=4, index=i, decay=2.0) for i in range(n)]
+    singles, kept = [], []
+    for u in draws:
+        singles.append(galerkin.nonlinear_term(u, PARAMS))
+        kept.append(singles[-1][0].coeffs.copy())
+    stack = SpectralField(grid, modes, np.stack([u.coeffs for u in draws]))
+    remainder, linf = galerkin.nonlinear_term(stack, PARAMS)
+    full = galerkin.rhs(stack, PARAMS)
+    assert remainder.coeffs.shape == full.coeffs.shape == (n, 3) + modes
+    assert linf == max(sup for _, sup in singles)
+    for i, u in enumerate(draws):
+        assert remainder.coeffs[i].tobytes() == kept[i].tobytes()
+        assert full.coeffs[i].tobytes() == galerkin.rhs(u, PARAMS).coeffs.tobytes()
+    stacked_work, synthesis, column, nodes = fields._padded_work(grid.dealias_pad, modes, (n,))
+    for buffer in (stacked_work, *synthesis, *column, nodes):
+        assert not np.shares_memory(remainder.coeffs, buffer)
+        assert not np.shares_memory(full.coeffs, buffer)
+    # the single-field results held across the stacked calls are unchanged,
+    # and a single field still gets a (3, *modes) result with the same bits
+    again, sup = galerkin.nonlinear_term(draws[0], PARAMS)
+    assert again.coeffs.shape == (3,) + modes and sup == singles[0][1]
+    assert again.coeffs.tobytes() == kept[0].tobytes()
+    for (held, _), want in zip(singles, kept):
+        assert held.coeffs.tobytes() == want.tobytes()
+
+
+def test_a_stack_has_one_leading_axis():
+    grid = GridSpec(extents=(1.0, 0.8), points=(8, 8))
+    SpectralField(grid, (4, 4), np.zeros((5, 3, 4, 4)))
+    for shape in ((2, 2, 3, 4, 4), (4, 4), (5, 2, 4, 4), (3, 4, 3)):
+        with pytest.raises(ValueError, match="coeffs shape"):
+            SpectralField(grid, (4, 4), np.zeros(shape))
+
+
 @pytest.mark.parametrize(
     "extents, points, modes",
     [
@@ -234,7 +279,7 @@ def test_nonlinear_term_results_do_not_alias_the_work_set(extents, points, modes
     diagnostics.norms(a)
     assert np.array_equal(na.coeffs, kept)
     assert not np.array_equal(nb.coeffs, kept)
-    stack, synthesis, column, nodes = fields._padded_work(grid.dealias_pad, modes)
+    stack, synthesis, column, nodes = fields._padded_work(grid.dealias_pad, modes, ())
     for buffer in (stack, *synthesis, *column, nodes):
         assert not np.shares_memory(na.coeffs, buffer)
     fields._padded_work.cache_clear()

@@ -327,9 +327,12 @@ STACKED_CONFIGS = [  # (extents, points, modes, count)
     ((1.0, 0.8), (4, 4), (1, 1), 5),  # one mode: every derivative is 0/0
     ((1.0, 0.8, 1.2), (6, 6, 6), (3, 3, 3), 3),
 ]
+# Fixed ids, the ones pytest derived from the values at _BLOCK_PAIRS = 4, so
+# that a change of block size renames no case.
+STACKED_IDS = [f"extents{i}-points{i}-modes{i}-{c}" for i, c in enumerate((9, 3, 9, 4, 5, 3))]
 
 
-@pytest.mark.parametrize("extents, points, modes, count", STACKED_CONFIGS)
+@pytest.mark.parametrize("extents, points, modes, count", STACKED_CONFIGS, ids=STACKED_IDS)
 def test_stacked_ensemble_matches_per_draw_formulas(extents, points, modes, count):
     grid = GridSpec(extents=extents, points=points)
     spec = spec_for(modes, seed=17, count=count)
@@ -375,7 +378,7 @@ def test_ensemble_memory_is_flat_in_count():
     assert peaks[1] <= 1.25 * peaks[0], f"peak {peaks[1]} B at 8 blocks vs {peaks[0]} B at one"
 
 
-@pytest.mark.parametrize("extents, points, modes, count", STACKED_CONFIGS)
+@pytest.mark.parametrize("extents, points, modes, count", STACKED_CONFIGS, ids=STACKED_IDS)
 def test_reports_do_not_depend_on_the_block_size(monkeypatch, extents, points, modes, count):
     # phase 1 folds each block into its slice of the ensemble arrays, so the
     # block size only moves rounding: one-pair blocks turn GEMMs into GEMVs
