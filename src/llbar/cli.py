@@ -147,19 +147,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     traj = stepping.integrate(
         u0, cfg.params, cfg.policy, modes=cfg.modes, cadence=cfg.cadence
     )
-    while True:
-        try:
-            ledger = diagnostics.EnergyLedger.from_trajectory(traj)
-            break
-        except ValueError as err:  # a recorded norm overflowed the float range
-            if not traj.aborted or len(traj) == 1:
-                _emit("blowup", f"recorded norms overflowed ({err}); nothing written")
-                return EXIT_BLOWUP
-            # an aborted run keeps every record before the overflowing ones
-            del traj.times[-1], traj.snapshots[-1]
+    try:  # an aborted run keeps every record before the first that overflows
+        ledger = diagnostics.EnergyLedger.from_trajectory(traj)
+    except ValueError as err:  # a recorded norm overflowed the float range
+        _emit("blowup", f"recorded norms overflowed ({err}); nothing written")
+        return EXIT_BLOWUP
     os.makedirs(cfg.directory, exist_ok=True)
     ledger.write_csv(os.path.join(cfg.directory, f"{cfg.prefix}_ledger.csv"))
-    for i, u in enumerate(traj.snapshots):
+    for i, u in enumerate(traj.snapshots[: len(ledger)]):
         path = os.path.join(cfg.directory, f"{cfg.prefix}_{i:06d}.snap")
         fields.write_snapshot(path, fields.inverse(u))
     terminal = ledger.records[-1]

@@ -218,7 +218,16 @@ class EnergyLedger:
 
     @classmethod
     def from_trajectory(cls, traj: Trajectory) -> "EnergyLedger":
-        records = [norms(u, t) for t, u in zip(traj.times, traj.snapshots)]
+        """One pass of ``norms`` over the records.  An aborted trajectory keeps
+        those before the first whose norms raise; any other raise propagates."""
+        records = []
+        for t, u in zip(traj.times, traj.snapshots):
+            try:
+                records.append(norms(u, t))
+            except ValueError:
+                if not (traj.aborted and records):
+                    raise
+                break
         ledger = cls(records=records)
         if len(records) >= 3:
             ledger.residuals = list(energy_balance_residual(ledger, traj.params))
@@ -437,12 +446,11 @@ def holder_quotient(traj: Trajectory, exponent: float, norm: str = "L2") -> Hold
     if n < HOLDER_MIN_SNAPSHOTS:
         raise ValueError(f"at least {HOLDER_MIN_SNAPSHOTS} snapshots required, got {n}")
     t = np.asarray(traj.times)
+    stack = SpectralField(traj.grid, traj.modes, np.stack([s.coeffs for s in traj.snapshots]))
     if norm == "L2":
-        flat = np.stack([s.coeffs.ravel() for s in traj.snapshots])
+        flat = stack.coeffs.reshape(n, -1)
     else:
-        flat = np.stack(
-            [operators.padded_values(s).reshape(3, -1) for s in traj.snapshots]
-        )
+        flat = operators.padded_values(stack).reshape(n, 3, -1)
     sup = 0.0
     for i in range(n - 1):
         dt = t[i + 1 :] - t[i]
@@ -484,47 +492,38 @@ def continuous_dependence(
     policy: IntegratorPolicy,
     modes: tuple[int, ...] | None = None,
 ) -> DependenceReport:
-    """Run the base data once and each perturbed datum in ``v0s``, and
-    compare every terminal separation to its Gronwall envelope
-    exp(int (1 + |u|_Linf^4 + |v|_Linf^4)).
+    """March the base data and every perturbed datum in ``v0s`` (all on
+    ``u0``'s band) as one stack, and compare every terminal separation to
+    its Gronwall envelope exp(int (1 + |u|_Linf^4 + |v|_Linf^4)).
 
-    The margin is the measured ratio of terminal separation to
-    sqrt(factor) times the initial separation; it is recorded, not
+    One synthesis of all records gives the Linf readings.  A blow-up in
+    any field stops the march and raises :class:`BlowupError` with the
+    largest sup.  The margin is the measured ratio of terminal separation
+    to sqrt(factor) times the initial separation; it is recorded, not
     asserted against a constant.  The report keeps the largest factor.
     """
     if not v0s:
         raise ValueError("at least one perturbed datum required")
-
-    def run(w0: SpectralField, band: tuple[int, ...] | None) -> Trajectory:
-        traj = integrate(w0, params, policy, modes=band)
-        if traj.aborted:
-            raise BlowupError(*traj.blowup)
-        return traj
-
-    def linf4(traj: Trajectory) -> np.ndarray:
-        return np.array(
-            [(operators.padded_values(s) ** 2).sum(axis=0).max() ** 2 for s in traj.snapshots]
-        )
-
-    def gap(a: SpectralField, b: SpectralField) -> float:
-        return float(np.sqrt(((a.coeffs - b.coeffs) ** 2).sum()))
-
-    traj_u = run(u0, modes)
-    t = np.asarray(traj_u.times)
-    base = 1.0 + linf4(traj_u)
-    rows = []  # (delta0, delta_T, factor, margin) per perturbed datum
-    for v0 in v0s:
-        traj_v = run(v0, traj_u.modes)
-        if traj_u.times != traj_v.times:
-            raise ValueError("trajectories recorded different tick schedules")
-        factor = float(np.exp(np.trapezoid(base + linf4(traj_v), t)))
-        delta0 = gap(traj_u.snapshots[0], traj_v.snapshots[0])
-        delta_T = gap(traj_u.terminal, traj_v.terminal)
-        margin = delta_T / (math.sqrt(factor) * delta0) if delta0 > 0.0 else 0.0
-        rows.append((delta0, delta_T, factor, margin))
-    deltas, gaps, factors, margins = zip(*rows)
+    stack = SpectralField(u0.grid, u0.modes, np.stack([w.coeffs for w in (u0, *v0s)]))
+    traj = integrate(stack, params, policy, modes=modes)
+    if traj.aborted:
+        raise BlowupError(*traj.blowup)
+    # (field, record, 3, *modes): each field's Linf^4 row is contiguous in time
+    records = np.stack([s.coeffs for s in traj.snapshots], axis=1)
+    values = operators.padded_values(
+        SpectralField(traj.grid, traj.modes, records.reshape((-1,) + records.shape[2:]))
+    )
+    linf4 = (values**2).sum(axis=1).reshape(records.shape[:2] + (-1,)).max(axis=-1) ** 2
+    factors = np.exp(np.trapezoid(1.0 + linf4[:1] + linf4[1:], traj.times))
+    ends = records[:, [0, -1]]
+    gaps = np.sqrt(((ends[1:] - ends[:1]) ** 2).reshape(len(v0s), 2, -1).sum(axis=-1))
+    margins = [
+        delta_T / (math.sqrt(factor) * delta0) if delta0 > 0.0 else 0.0
+        for (delta0, delta_T), factor in zip(gaps.tolist(), factors.tolist())
+    ]
     return DependenceReport(
-        deltas=deltas, terminal_diffs=gaps, gronwall_factor=max(factors), margins=margins
+        deltas=tuple(gaps[:, 0].tolist()), terminal_diffs=tuple(gaps[:, 1].tolist()),
+        gronwall_factor=float(factors.max()), margins=tuple(margins),
     )
 
 

@@ -161,8 +161,9 @@ class SpectralField:
     this ``modes`` tuple, and this is the one place it is checked against
     the grid: one count per axis, each in ``[1, points]``.  An (n, 3,
     *modes) array holds a stack of n fields on one band, which
-    ``galerkin.rhs`` and ``galerkin.nonlinear_term`` evaluate in one pass;
-    everything else takes a single field.
+    ``galerkin.project``, ``nonlinear_term`` and ``rhs``, ``stepping.step``
+    and ``integrate``, and ``operators.padded_values`` and ``padded_sup``
+    take in one pass; everything else takes a single field.
     """
 
     grid: GridSpec

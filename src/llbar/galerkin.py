@@ -135,10 +135,12 @@ class LLBarParams:
 
 def project(v: SpectralField, modes: tuple[int, ...]) -> SpectralField:
     """Orthogonal projection onto the first ``modes`` per axis (truncate,
-    zero-fill); ``SpectralField`` checks ``modes`` against the grid."""
-    out = SpectralField(grid=v.grid, modes=modes, coeffs=np.zeros((3, *modes)))
-    keep = tuple(slice(0, min(m, b)) for m, b in zip(v.modes, out.modes))
-    out.coeffs[(slice(None),) + keep] = v.coeffs[(slice(None),) + keep]
+    zero-fill), of one field or a stack; ``SpectralField`` checks
+    ``modes`` against the grid."""
+    shape = (*v.coeffs.shape[: -v.grid.dim], *modes)
+    out = SpectralField(grid=v.grid, modes=modes, coeffs=np.zeros(shape))
+    keep = (...,) + tuple(slice(0, min(m, b)) for m, b in zip(v.modes, out.modes))
+    out.coeffs[keep] = v.coeffs[keep]
     return out
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "SampleSpec",
     "RatioReport",
     "Catalogue",
-    "draw_sample",
     "catalogue_ratios",
     "check_catalogue",
     "gn_theta",
@@ -102,10 +101,6 @@ class RatioReport:
             f"{self.inequality},{self.max_ratio:.17g},{self.median_ratio:.17g},"
             f"{self.violations},{self.witness_seed}"
         )
-
-
-def draw_sample(grid: GridSpec, spec: SampleSpec, index: int) -> SpectralField:
-    return fields.random_field(grid, spec.modes, seed=spec.seed, index=index)
 
 
 _ELLIPTIC_IDS = ("eq1", "eq2", "eq5", "eq6", "eq8")

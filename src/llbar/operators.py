@@ -78,14 +78,16 @@ def padded_samples(grid: GridSpec, coeffs: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def padded_values(s: SpectralField) -> np.ndarray:
-    """Field samples on the band's padded midpoint grid, shape (3, *padded)."""
+    """Field samples on the band's padded midpoint grid, shape (3, *padded),
+    or (n, 3, *padded) for a stack."""
     grid = s.grid
     return _eval_series(s.coeffs, grid.extents, ("cos",) * grid.dim, grid.padded(s.modes))
 
 
 def padded_sup(s: SpectralField) -> float:
-    """Sup over the band's padded grid of the pointwise magnitude (the ledger's Linf)."""
-    return float(np.sqrt((padded_values(s) ** 2).sum(axis=0).max()))
+    """Sup over the band's padded grid of the pointwise magnitude (the
+    ledger's Linf); for a stack, the largest in it."""
+    return float(np.sqrt((padded_values(s) ** 2).sum(axis=-s.grid.dim - 1).max()))
 
 
 def padded_jacobian(s: SpectralField) -> np.ndarray:

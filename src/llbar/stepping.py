@@ -165,14 +165,15 @@ def _imex_tables(
 
 
 @lru_cache(maxsize=8)
-def _stage_work(modes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Two (3, *modes) arrays for the stage arithmetic of :func:`step`.
+def _stage_work(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Two arrays of a field's or a stack's coefficient ``shape`` for the
+    stage arithmetic of :func:`step`.
 
     Every step writes them before it reads them, and nothing it returns
     points into them, so steps on any bands may interleave.  Not
     thread-safe, like ``fields._padded_work``.
     """
-    return fields._page_aligned((3,) + modes), fields._page_aligned((3,) + modes)
+    return fields._page_aligned(shape), fields._page_aligned(shape)
 
 
 def _check_blowup(t: float, linf: float, threshold: float) -> None:
@@ -188,14 +189,16 @@ def step(
 
     The stage arithmetic runs in place, in the operation order of the
     schemes' formulas, so only the returned state is allocated (besides
-    the fresh remainders ``galerkin.nonlinear_term`` returns).
+    the fresh remainders ``galerkin.nonlinear_term`` returns).  A stack
+    of fields steps as one, each field with the bits of its own step;
+    the max-norm is then the largest in the stack.
     """
     u = state.u
     grid, modes = u.grid, u.modes
     h = policy.dt
     n0, linf = galerkin.nonlinear_term(u, params)
     _check_blowup(state.t, linf, policy.blowup_threshold)
-    a, b = _stage_work(modes)
+    a, b = _stage_work(u.coeffs.shape)
     new = np.empty_like(a)
     if policy.scheme == "ETDRK2":
         # a = e^z u + h phi1 n0;  new = a + h phi2 (na - n0)
@@ -284,7 +287,8 @@ def integrate(
     multiple, a single shorter final step closes the gap.  A blow-up stops
     the march and returns the partial trajectory with ``aborted`` set
     instead of propagating the error; the final state is checked against
-    ``policy.blowup_threshold`` too.
+    ``policy.blowup_threshold`` too.  A stack of fields marches as one,
+    each with the bits of its own march; a blow-up in any stops them all.
     """
     if cadence < 1:
         raise ValueError(f"cadence must be at least 1, got {cadence}")

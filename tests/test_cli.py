@@ -570,6 +570,34 @@ def test_overflow_is_one_blowup_line(tmp_path, capsys, argv):
         assert not out.exists()
 
 
+def test_run_ledger_evaluates_each_record_once(tmp_path, capsys, monkeypatch):
+    # the late run aborts after one step and its second record overflows: the
+    # ledger keeps the first, and each record's norms run once
+    out = tmp_path / "out"
+    text = GOOD.replace("directory = out", f"directory = {out}")
+    late = text.replace("value = 1.0, 0.0, 0.0", "value = 1e9, 0.0, 0.0")
+    late = late.replace("t_end = 0.01", "t_end = 0.01\nblowup_threshold = 1e10")
+    trajs, times = [], []
+    integrate, norms = stepping.integrate, diagnostics.norms
+
+    def recorded(*args, **kwargs):
+        trajs.append(integrate(*args, **kwargs))
+        return trajs[-1]
+
+    def counted(u, t=0.0):
+        times.append(t)
+        return norms(u, t)
+
+    monkeypatch.setattr(stepping, "integrate", recorded)
+    monkeypatch.setattr(diagnostics, "norms", counted)
+    assert cli.main(["run", write_config(tmp_path, late)]) == 3
+    assert capsys.readouterr().err.startswith("llbar: blowup: ")
+    (traj,) = trajs
+    assert traj.aborted and len(traj) == 2
+    assert times == traj.times
+    assert len((out / "state_ledger.csv").read_text().splitlines()) == 2
+
+
 def test_depend_accepts_a_delta_resolved_to_1e_4(capsys):
     # at the defaults 1e-14 is 3.6e-5 off its requested size and passes;
     # 1e-16, 4.3e-3 off, is the first size rejected

@@ -373,7 +373,7 @@ def test_continuous_dependence_scaling_and_envelope():
 
 
 def test_continuous_dependence_integrates_the_base_once(monkeypatch):
-    # the base trajectory serves every perturbed datum: 1 + len(v0s) runs
+    # one march of the stack whose rows are the base and every perturbed datum
     grid = GridSpec(extents=(1.0,), points=(8,))
     u0 = fields.random_field(grid, (8,), seed=2, decay=4.0)
     v0s = [SpectralField(grid, (8,), u0.coeffs * (1.0 + eps)) for eps in (1e-3, 1e-4, 1e-5)]
@@ -386,7 +386,8 @@ def test_continuous_dependence_integrates_the_base_once(monkeypatch):
 
     monkeypatch.setattr(diagnostics, "integrate", counted)
     report = diagnostics.continuous_dependence(u0, v0s, PARAMS, policy)
-    assert calls == [u0, *v0s]
+    (stack,) = calls
+    assert np.array_equal(stack.coeffs, np.stack([u0.coeffs, *(v.coeffs for v in v0s)]))
     assert len(report.deltas) == len(report.margins) == 3
     with pytest.raises(ValueError, match="perturbed"):
         diagnostics.continuous_dependence(u0, [], PARAMS, policy)

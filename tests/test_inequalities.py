@@ -64,10 +64,11 @@ def test_sample_spec_validation():
     band = (6,)
     with pytest.raises(ValueError, match="count"):
         SampleSpec(seed=0, count=0, modes=band)
-    # a witness index reproduces its draw: the flat law keyed by (seed, index)
-    grid = GridSpec(extents=(1.0,), points=(8,))
-    drawn = inequalities.draw_sample(grid, SampleSpec(seed=3, count=1, modes=band), 5)
-    assert np.array_equal(drawn.coeffs, fields.random_field(grid, band, seed=3, index=5).coeffs)
+    # a witness index reproduces the catalogue's draw: the flat law keyed by (seed, index)
+    grid, spec = GridSpec(extents=(1.0,), points=(8,)), SampleSpec(seed=3, count=4, modes=band)
+    drawn = fields.random_field(grid, spec.modes, seed=spec.seed, index=5)
+    block = fields._draws(grid, spec.modes, spec.seed, range(4, 8), 0.0)
+    assert np.array_equal(drawn.coeffs, block[1])
 
 
 def test_interp_ratios_are_exactly_one_on_eigenmodes():
@@ -150,7 +151,9 @@ def test_cross_diff_family_never_exceeds_one():
 def test_ratios_are_scale_invariant():
     grid = GridSpec(extents=(1.0,), points=(16,))
     spec = spec_for((8,), seed=11, count=2)
-    pair = np.stack([inequalities.draw_sample(grid, spec, i).coeffs for i in (0, 1)])
+    pair = np.stack([
+        fields.random_field(grid, spec.modes, seed=spec.seed, index=i).coeffs for i in (0, 1)
+    ])
     # eq7 and cubic k=0 on the pair, GN on each of its two draws
     catalogue = Catalogue(product_s=1, cubic_ks=(0,), gn=((0, 4.0, 0, 1),))
     base = inequalities.catalogue_ratios(grid, catalogue, pair)
@@ -241,7 +244,10 @@ def reference_rows(grid, spec, catalogue):
     """(name, threshold, per-draw ratios) of every row of a full catalogue."""
     dim, pad = grid.dim, grid.padded(grid.points)
     vol = ref.cell(grid, pad)
-    draw = [inequalities.draw_sample(grid, spec, i).coeffs for i in range(2 * spec.count)]
+    draw = [
+        fields.random_field(grid, spec.modes, seed=spec.seed, index=i).coeffs
+        for i in range(2 * spec.count)
+    ]
 
     def values(c, alpha):
         return ref.values(grid, c, alpha, pad)

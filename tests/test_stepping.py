@@ -8,11 +8,12 @@ reproduce exp(m t) to rounding, not merely to discretization order.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from llbar import fields, galerkin, stepping
+from llbar import fields, galerkin, operators, stepping
 from llbar.fields import GridSpec, SpectralField
 from llbar.galerkin import LLBarParams
 from llbar.stepping import BlowupError, IntegratorPolicy, SolverState
@@ -165,8 +166,44 @@ def test_interleaved_steps_share_no_buffers(scheme):
         assert [record(state) for state in held[k]] == alone[k], run
     assert remainder.coeffs.tobytes() == kept
     for state in held[0]:
-        for buffer in stepping._stage_work((32, 32)):
+        for buffer in stepping._stage_work((3, 32, 32)):
             assert not np.shares_memory(state.u.coeffs, buffer)
+
+
+STACK_BANDS = (
+    ((1.0,), (16,), (12,)),
+    ((1.0, 0.8), (8, 8), (6, 5)),
+    ((1.0, 0.8, 1.2), (6, 6, 6), (4, 3, 4)),
+)
+
+
+@pytest.mark.parametrize("n", (1, 2, 4))
+@pytest.mark.parametrize("extents, points, modes", STACK_BANDS, ids=("d1", "d2", "d3"))
+@pytest.mark.parametrize("scheme", stepping.SCHEMES)
+def test_stacked_march_gives_each_field_its_own_bits(scheme, extents, points, modes, n):
+    # t_end = 10.5 dt: ten steps and a shorter closing one, recorded every third
+    grid = GridSpec(extents=extents, points=points)
+    rows = [
+        fields.random_field(grid, modes, seed=21, index=i, decay=2.0, amplitude=0.7)
+        for i in range(n)
+    ]
+    stack = SpectralField(grid, modes, np.stack([u.coeffs for u in rows]))
+    policy = IntegratorPolicy(dt=2e-3, t_end=0.021, scheme=scheme)
+    traj = stepping.integrate(stack, PARAMS, policy, cadence=3)
+    assert not traj.aborted and len(traj) == 5 and traj.times[-1] == 0.021
+    assert operators.padded_sup(stack) == max(map(operators.padded_sup, rows))
+    for i, u in enumerate(rows):
+        alone = stepping.integrate(u, PARAMS, policy, cadence=3)
+        assert traj.times == alone.times
+        for s, a in zip(traj.snapshots, alone.snapshots, strict=True):
+            assert s.coeffs[i].tobytes() == a.coeffs.tobytes()
+    # one field above the threshold stops the whole march at its first step
+    big = SpectralField(grid, modes, np.concatenate([stack.coeffs, 1e4 * stack.coeffs[:1]]))
+    guarded = replace(policy, blowup_threshold=1e3)
+    blown = stepping.integrate(big, PARAMS, guarded, cadence=3)
+    assert blown.aborted and blown.times == [0.0] and blown.blowup[1] > 1e3
+    alone = stepping.integrate(SpectralField(grid, modes, big.coeffs[-1]), PARAMS, guarded)
+    assert blown.blowup == alone.blowup
 
 
 def test_step_blowup_pre_and_post_check():
