@@ -508,7 +508,8 @@ def continuous_dependence(
     traj = integrate(stack, params, policy, modes=modes)
     if traj.aborted:
         raise BlowupError(*traj.blowup)
-    # (field, record, 3, *modes): each field's Linf^4 row is contiguous in time
+    # (field, record, 3, *modes): each field's Linf^4 readings form one contiguous
+    # row, so the time integral sums them as it would one field's
     records = np.stack([s.coeffs for s in traj.snapshots], axis=1)
     values = operators.padded_values(
         SpectralField(traj.grid, traj.modes, records.reshape((-1,) + records.shape[2:]))
