@@ -7,8 +7,8 @@ checkout runs first, the seconds per call of:
   ``nonlinear_term`` (u and Lap u on 2M points per axis), into a work pair;
 - ``analysis``: the projection of six padded-grid products back onto
   the band, into the same pair;
-- ``nonlinear_term``, and one ``step`` of each scheme (the IMEX-CNAB2 step
-  from a state that carries its Adams--Bashforth remainder);
+- ``nonlinear_term``, and one ``step`` of each scheme named in ``LAYERS``
+  (so every checkout times the same schemes);
 - ``norms`` of a snapshot and ``inverse`` onto the grid;
 
 on three bands: d=2 32^2 on a 32^2 grid, d=3 8^3 on 16^3 and d=2 8^2 on
@@ -56,8 +56,9 @@ CASES = (
 )
 LAYERS = (
     "synthesis", "analysis", "nonlinear_term",
-    "step_ETDRK2", "step_IMEX-CNAB2", "step_IMEX-Euler", "norms", "inverse",
+    "step_ETDRK2", "step_IMEX-Euler", "norms", "inverse",
 )
+SCHEMES = tuple(layer.removeprefix("step_") for layer in LAYERS if layer.startswith("step_"))
 VERIFY_CASE = "verify d2 8^2/16^2 x128"
 VERIFY_LAYERS = ("inequality_catalogue", "identity_ensemble", "rhs_block6")
 REPEATS = 11  # fresh processes per checkout
@@ -78,6 +79,7 @@ from llbar.galerkin import LLBarParams
 
 params = LLBarParams(0.4, 0.01, 1.2, 0.7, 0.25)
 cases, budget, verify_case = json.loads(sys.argv[1]), float(sys.argv[2]), sys.argv[3]
+schemes = json.loads(sys.argv[4])
 
 
 def per_call(fn):
@@ -108,7 +110,7 @@ for label, extents, points, modes in cases:
         "analysis": per_call(lambda: fields._transform_series(values, grid.extents, all_cos, modes, work)),
         "nonlinear_term": per_call(lambda: galerkin.nonlinear_term(u, params)),
     }
-    for scheme in stepping.SCHEMES:
+    for scheme in schemes:
         policy = stepping.IntegratorPolicy(dt=1e-3, t_end=1.0, scheme=scheme)
         state = stepping.step(stepping.SolverState(t=0.0, u=u, step_index=0), params, policy)
         row["step_" + scheme] = per_call(lambda: stepping.step(state, params, policy))
@@ -142,7 +144,8 @@ print(json.dumps(out))
 def _layers(tree: Path, env: dict[str, str]) -> dict:
     """One fresh-process reading of every layer on every case for ``tree``."""
     run = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(CASES), repr(BUDGET_S), VERIFY_CASE],
+        [sys.executable, "-c", _PROBE, json.dumps(CASES), repr(BUDGET_S), VERIFY_CASE,
+         json.dumps(SCHEMES)],
         env=dict(env, PYTHONPATH=str(tree / "src")), cwd=tree,
         capture_output=True, text=True, check=True,
     )

@@ -72,6 +72,9 @@ def test_parse_config_defaults():
     assert cfg.prefix == "state"
     assert cfg.initial.seed == 0
     assert cfg.params == LLBarParams(0.4, 0.01, 1.2, 0.7, 0.25)
+    # the benchmark's run files name the default scheme explicitly
+    explicit = parse_config(GOOD.replace("t_end = 0.01", "t_end = 0.01\nscheme = ETDRK2"))
+    assert explicit.policy == cfg.policy
 
 
 def test_parse_config_reports_every_problem_at_once():
@@ -473,6 +476,21 @@ def test_run_config_error_exit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("llbar: config-error: ")
     assert err.count("\n") == 1, "diagnostics must land on a single line"
+
+
+@pytest.mark.parametrize("where", ["file", "override"])
+def test_removed_scheme_is_one_config_error(tmp_path, capsys, where):
+    out = tmp_path / "out"
+    text = GOOD.replace("directory = out", f"directory = {out}")
+    if where == "file":
+        argv = ["run", write_config(tmp_path, text.replace("t_end = 0.01", "t_end = 0.01\nscheme = IMEX-CNAB2"))]
+    else:
+        argv = ["run", write_config(tmp_path, text), "--override", "integrator.scheme=IMEX-CNAB2"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("llbar: config-error: [integrator]") and err.count("\n") == 1, err
+    assert "ETDRK2, IMEX-Euler" in err, err
+    assert not out.exists()
 
 
 def test_run_blowup_flushes_partial_output(tmp_path, capsys):
